@@ -32,9 +32,9 @@ using namespace er;
 //===----------------------------------------------------------------------===//
 //
 // The scheduler is the natural place to tag pipeline telemetry with fleet
-// identity: every campaign runs under a span carrying its signature
+// identity: every campaign step runs under a span carrying its signature
 // digest and bug id (all driver/solver spans nest beneath it on the
-// worker's thread), and triage progress is exported as gauges — both the
+// stepping thread), and triage progress is exported as gauges — both the
 // fleet-wide ones and a per-bucket occurrence gauge
 // (fleet.bucket.<digest>.occurrences) that a collector daemon can watch
 // to decide preemption (ROADMAP "campaign preemption").
@@ -61,17 +61,17 @@ struct FleetMetrics {
 };
 } // namespace
 
-/// A campaign occupying (or suspended from) a worker slot in incremental
-/// mode: its compiled module, isolated context/solver, and the resumable
-/// session. Parking this struct *is* the checkpoint — the session resumes
-/// mid-campaign with zero redone work.
+/// A campaign being executed — by a run() worker, or occupying (or
+/// suspended from) a slot in incremental mode: its compiled module,
+/// isolated context/solver, and the resumable session. Parking this struct
+/// *is* the checkpoint — the session resumes mid-campaign with zero redone
+/// work.
 struct FleetScheduler::CampaignRuntime {
   size_t Idx = 0; ///< Into FleetScheduler::Campaigns.
   std::unique_ptr<Module> M;
   std::unique_ptr<ExprContext> Ctx;
   std::unique_ptr<ConstraintSolver> Solver;
   std::unique_ptr<ReconstructionSession> Session;
-  unsigned StepsTaken = 0;
 };
 
 FleetScheduler::FleetScheduler(FleetConfig Config)
@@ -187,194 +187,16 @@ std::vector<size_t> FleetScheduler::triageOrder() const {
   return Order;
 }
 
-void FleetScheduler::runCampaign(Campaign &C) {
-  // The campaign span carries fleet identity; every driver/solver span
-  // the reconstruction opens nests under it on this worker's thread. All
-  // of them record under the bucket's lifecycle trace (untraced buckets
-  // carry an invalid context — plain local spans, exactly as before).
-  obs::TraceScope Traced(obs::TraceContext{C.TraceHi, C.TraceLo, 0});
-  obs::ScopedSpan Span("fleet.campaign", "fleet");
-  Span.arg("sig", C.Sig.hex());
-  Span.arg("bug", C.BugId);
-  Span.arg("occurrences", C.Occurrences);
-  Span.arg("seed", C.CampaignSeed);
-  FleetMetrics &FM = FleetMetrics::get();
-
-  const BugSpec *Spec = findBug(C.BugId);
-  if (!Spec) {
-    C.Report.FailureDetail = "unknown workload '" + C.BugId + "'";
-    C.Completed = true;
-    Span.arg("result", "unknown-workload");
-    FM.Pending.add(-1);
-    FM.Completed.add(1);
-    return;
-  }
-
-  // Per-campaign isolation: own module, own context/solver inside the
-  // driver. Only the (thread-safe) result cache is shared.
-  auto M = compileBug(*Spec);
-  DriverConfig DC = Config.DriverBase;
-  DC.Solver.WorkBudget = Spec->SolverWorkBudget;
-  DC.Vm.ChunkSize = Spec->VmChunkSize;
-  DC.Seed = C.CampaignSeed;
-  DC.Solver.SharedCache = Config.ShareSolverCache ? &Cache : nullptr;
-
-  FailureRecord Target;
-  Target.Kind = C.Sig.Kind;
-  Target.InstrGlobalId = C.Sig.InstrGlobalId;
-  Target.CallStack = C.Sig.CallStack;
-
-  ReconstructionDriver Driver(*M, DC);
-  C.Report = Driver.reconstruct(
-      [&](Rng &R) { return Spec->ProductionInput(R); }, &Target);
-
-  auto Sites = instrumentedSites(*M);
-  C.RecordingSet.assign(Sites.begin(), Sites.end());
-  std::sort(C.RecordingSet.begin(), C.RecordingSet.end());
-  C.Completed = true;
-
-  FM.CampaignsRun.inc();
-  if (C.Report.Success)
-    FM.CampaignsReproduced.inc();
-  FM.Pending.add(-1);
-  FM.Completed.add(1);
-  Span.arg("result", C.Report.Success ? "reproduced" : "failed");
-  Span.arg("consumed", static_cast<uint64_t>(C.Report.Occurrences));
-}
-
-FleetReport FleetScheduler::run() {
-  Stopwatch Wall;
-  obs::ScopedSpan RunSpan("fleet.run", "fleet");
-  RunSpan.arg("jobs", static_cast<uint64_t>(Config.Jobs));
-  RunSpan.arg("campaigns", Campaigns.size());
-  std::vector<size_t> Order = triageOrder();
-
-  // Worklist of pending campaigns, in triage order. Workers claim entries
-  // FIFO under the (profiled) scheduler mutex; each campaign slot is
-  // written by exactly one worker, so no further synchronization is
-  // needed on the results, and claim order — hence every result byte —
-  // matches what the previous lock-free cursor produced.
-  std::vector<size_t> Pending;
-  unsigned Resumed = 0;
-  for (size_t Idx : Order) {
-    if (Campaigns[Idx].Completed)
-      ++Resumed;
-    else
-      Pending.push_back(Idx);
-  }
-
-  FleetMetrics &FM = FleetMetrics::get();
-  FM.Pending.set(static_cast<int64_t>(Pending.size()));
-  FM.Completed.set(static_cast<int64_t>(Resumed));
-  RunSpan.arg("pending", Pending.size());
-  RunSpan.arg("resumed", static_cast<uint64_t>(Resumed));
-
-  // Force the (thread-safe, once-only) spec registry init before workers
-  // start, and keep worker count sane.
-  (void)allBugSpecs();
-  unsigned Jobs = std::max(1u, Config.Jobs);
-
-  // Position of each campaign in triage order, so worker intervals can
-  // name campaigns by their FleetReport::Campaigns index.
-  std::vector<size_t> PosInOrder(Campaigns.size());
-  for (size_t I = 0; I < Order.size(); ++I)
-    PosInOrder[Order[I]] = I;
-
-  unsigned N = Pending.size() <= 1
-                   ? 1u
-                   : static_cast<unsigned>(
-                         std::min<size_t>(Jobs, Pending.size()));
-  std::vector<WorkerUtilization> Util(N);
-  uint64_t RunStartNs = fleetNowNs();
-
-  size_t NextSlot = 0;
-  auto Worker = [&](unsigned WorkerId) {
-    WorkerUtilization &U = Util[WorkerId];
-    U.WorkerId = WorkerId;
-    uint64_t SpawnNs = fleetNowNs();
-    uint64_t CpuStart = obs::threadCpuTimeNs();
-    for (;;) {
-      size_t Slot;
-      {
-        std::lock_guard<obs::TrackedMutex> Lock(SchedMu);
-        Slot = NextSlot++;
-      }
-      if (Slot >= Pending.size())
-        break;
-      Campaign &C = Campaigns[Pending[Slot]];
-      uint64_t S = fleetNowNs(), Cpu0 = obs::threadCpuTimeNs();
-      runCampaign(C);
-      uint64_t E = fleetNowNs(), Cpu1 = obs::threadCpuTimeNs();
-      C.WallNs = E > S ? E - S : 0;
-      C.CpuNs = Cpu1 > Cpu0 ? Cpu1 - Cpu0 : 0;
-      U.BusyNs += C.WallNs;
-      U.Intervals.push_back({PosInOrder[Pending[Slot]],
-                             S > RunStartNs ? S - RunStartNs : 0,
-                             E > RunStartNs ? E - RunStartNs : 0});
-    }
-    uint64_t ExitNs = fleetNowNs();
-    U.SpanNs = ExitNs > SpawnNs ? ExitNs - SpawnNs : 0;
-    U.IdleNs = U.SpanNs > U.BusyNs ? U.SpanNs - U.BusyNs : 0;
-    uint64_t CpuEnd = obs::threadCpuTimeNs();
-    U.CpuNs = CpuEnd > CpuStart ? CpuEnd - CpuStart : 0;
-  };
-
-  if (Jobs == 1 || Pending.size() <= 1) {
-    Worker(0);
-  } else {
-    std::vector<std::thread> Threads;
-    Threads.reserve(N);
-    for (unsigned I = 0; I < N; ++I)
-      Threads.emplace_back(Worker, I);
-    for (auto &T : Threads)
-      T.join();
-  }
-
-  FleetReport FR;
-  FR.Jobs = Jobs;
-  FR.RootSeed = Config.RootSeed;
-  FR.Preemptions = static_cast<unsigned>(PreemptionCount);
-  FR.CampaignsRun = static_cast<unsigned>(Pending.size());
-  FR.CampaignsResumed = Resumed;
-  FR.WallSeconds = Wall.seconds();
-  FR.Cache = Cache.getStats();
-  FR.Campaigns.reserve(Order.size());
-  for (size_t Idx : Order) {
-    FR.Campaigns.push_back(Campaigns[Idx]);
-    if (Campaigns[Idx].Report.Success)
-      ++FR.Reproduced;
-  }
-
-  // Utilization rollup: where did (workers x wall) go, and what bounds it.
-  double BusySeconds = 0;
-  for (const WorkerUtilization &U : Util) {
-    FR.CpuSeconds += U.CpuNs / 1e9;
-    BusySeconds += U.BusyNs / 1e9;
-  }
-  for (const Campaign &C : FR.Campaigns)
-    FR.CriticalPathSeconds =
-        std::max(FR.CriticalPathSeconds, C.WallNs / 1e9);
-  double Capacity = static_cast<double>(Util.size()) * FR.WallSeconds;
-  if (Capacity > 0) {
-    FR.BusyFrac = std::min(1.0, BusySeconds / Capacity);
-    FR.IdleFrac = 1.0 - FR.BusyFrac;
-  }
-  FR.Workers = std::move(Util);
-  RunSpan.arg("critical_path_ms",
-              static_cast<uint64_t>(FR.CriticalPathSeconds * 1e3));
-  return FR;
-}
-
 //===----------------------------------------------------------------------===//
-// Incremental mode
+// Campaign execution
 //===----------------------------------------------------------------------===//
 //
-// The collector daemon's shape of progress: discrete ReconstructionSession
-// steps interleaved with spool drains, with up to Config.Jobs campaigns
-// holding slots at once. Everything here runs on the daemon's control
-// thread — determinism needs no synchronization, and campaign results
-// cannot depend on slot scheduling because each campaign is fully
-// isolated (the shared solver cache returns byte-identical answers).
+// One campaign is built by makeRuntime, advanced by stepRuntime, and
+// finalized when its session finishes. run() workers step each claimed
+// campaign to completion; stepCampaigns() round-robins steps across slots.
+// Both paths share these three functions, which is what makes their
+// results byte-identical. A runtime is touched by one thread at a time,
+// and so is its Campaigns entry.
 
 std::unique_ptr<FleetScheduler::CampaignRuntime>
 FleetScheduler::makeRuntime(size_t Idx) {
@@ -382,7 +204,6 @@ FleetScheduler::makeRuntime(size_t Idx) {
   FleetMetrics &FM = FleetMetrics::get();
   const BugSpec *Spec = findBug(C.BugId);
   if (!Spec) {
-    // Same terminal outcome runCampaign produces for an unknown workload.
     C.Report.FailureDetail = "unknown workload '" + C.BugId + "'";
     C.Completed = true;
     FM.Pending.add(-1);
@@ -390,8 +211,8 @@ FleetScheduler::makeRuntime(size_t Idx) {
     return nullptr;
   }
 
-  // Identical configuration to runCampaign — stepping a session to
-  // completion must be byte-identical to the batch path.
+  // Per-campaign isolation: own module, own context/solver. Only the
+  // (thread-safe) result cache is shared.
   auto RT = std::make_unique<CampaignRuntime>();
   RT->Idx = Idx;
   RT->M = compileBug(*Spec);
@@ -422,7 +243,6 @@ void FleetScheduler::finalizeCampaign(CampaignRuntime &RT) {
   std::sort(C.RecordingSet.begin(), C.RecordingSet.end());
   C.Completed = true;
   C.Suspended = false;
-  C.IterationsDone = RT.Session->stepsDone();
 
   FleetMetrics &FM = FleetMetrics::get();
   FM.CampaignsRun.inc();
@@ -431,6 +251,154 @@ void FleetScheduler::finalizeCampaign(CampaignRuntime &RT) {
   FM.Pending.add(-1);
   FM.Completed.add(1);
 }
+
+bool FleetScheduler::stepRuntime(CampaignRuntime &RT) {
+  Campaign &C = Campaigns[RT.Idx];
+  bool More;
+  {
+    // Every driver/solver span the step opens nests under this one on the
+    // current thread, and all of them record under the bucket's lifecycle
+    // trace (untraced buckets carry an invalid context: plain local spans).
+    obs::TraceScope Traced(obs::TraceContext{C.TraceHi, C.TraceLo, 0});
+    obs::ScopedSpan Span("fleet.campaign.step", "fleet");
+    Span.arg("sig", C.Sig.hex());
+    Span.arg("bug", C.BugId);
+    Span.arg("step", static_cast<uint64_t>(RT.Session->stepsDone()));
+    // Per-campaign wall/CPU accounting (critical-path + cpu_s rollups in
+    // snapshotReport) — two clock reads per step, write-only.
+    uint64_t S = fleetNowNs(), Cpu0 = obs::threadCpuTimeNs();
+    More = RT.Session->step();
+    uint64_t E = fleetNowNs(), Cpu1 = obs::threadCpuTimeNs();
+    C.WallNs += E > S ? E - S : 0;
+    C.CpuNs += Cpu1 > Cpu0 ? Cpu1 - Cpu0 : 0;
+    if (!More) {
+      // An empty tag means the failure never reoccurred (Driver.h).
+      const std::string &Tag = RT.Session->resultTag();
+      Span.arg("result", Tag.empty() ? "no_reoccurrence" : Tag);
+      Span.arg("consumed",
+               static_cast<uint64_t>(RT.Session->report().Occurrences));
+    }
+  }
+  C.IterationsDone = RT.Session->stepsDone();
+  if (!More)
+    finalizeCampaign(RT);
+  return More;
+}
+
+FleetReport FleetScheduler::run() {
+  Stopwatch Wall;
+  obs::ScopedSpan RunSpan("fleet.run", "fleet");
+  RunSpan.arg("jobs", static_cast<uint64_t>(Config.Jobs));
+  RunSpan.arg("campaigns", Campaigns.size());
+  std::vector<size_t> Order = triageOrder();
+
+  // Worklist of pending campaigns, in triage order. Workers claim entries
+  // FIFO under the (profiled) scheduler mutex; each campaign is built,
+  // stepped and finalized by exactly the worker that claimed it, so no
+  // further synchronization is needed on the results.
+  std::vector<size_t> Pending;
+  unsigned Resumed = 0;
+  for (size_t Idx : Order) {
+    if (Campaigns[Idx].Completed)
+      ++Resumed;
+    else
+      Pending.push_back(Idx);
+  }
+
+  FleetMetrics &FM = FleetMetrics::get();
+  FM.Pending.set(static_cast<int64_t>(Pending.size()));
+  FM.Completed.set(static_cast<int64_t>(Resumed));
+  RunSpan.arg("pending", Pending.size());
+  RunSpan.arg("resumed", static_cast<uint64_t>(Resumed));
+
+  // Force the (thread-safe, once-only) spec registry init before workers
+  // start.
+  (void)allBugSpecs();
+
+  // Position of each campaign in triage order, so worker intervals can
+  // name campaigns by their FleetReport::Campaigns index.
+  std::vector<size_t> PosInOrder(Campaigns.size());
+  for (size_t I = 0; I < Order.size(); ++I)
+    PosInOrder[Order[I]] = I;
+
+  unsigned N = Pending.size() <= 1
+                   ? 1u
+                   : static_cast<unsigned>(
+                         std::min<size_t>(Config.Jobs, Pending.size()));
+  std::vector<WorkerUtilization> Util(N);
+  uint64_t RunStartNs = fleetNowNs();
+
+  size_t NextSlot = 0;
+  auto Worker = [&](unsigned WorkerId) {
+    WorkerUtilization &U = Util[WorkerId];
+    U.WorkerId = WorkerId;
+    uint64_t SpawnNs = fleetNowNs();
+    uint64_t CpuStart = obs::threadCpuTimeNs();
+    for (;;) {
+      size_t Slot;
+      {
+        std::lock_guard<obs::TrackedMutex> Lock(SchedMu);
+        Slot = NextSlot++;
+      }
+      if (Slot >= Pending.size())
+        break;
+      uint64_t S = fleetNowNs();
+      if (auto RT = makeRuntime(Pending[Slot]))
+        while (stepRuntime(*RT))
+          ;
+      uint64_t E = fleetNowNs();
+      U.BusyNs += E > S ? E - S : 0;
+      U.Intervals.push_back({PosInOrder[Pending[Slot]],
+                             S > RunStartNs ? S - RunStartNs : 0,
+                             E > RunStartNs ? E - RunStartNs : 0});
+    }
+    uint64_t ExitNs = fleetNowNs();
+    U.SpanNs = ExitNs > SpawnNs ? ExitNs - SpawnNs : 0;
+    U.IdleNs = U.SpanNs > U.BusyNs ? U.SpanNs - U.BusyNs : 0;
+    uint64_t CpuEnd = obs::threadCpuTimeNs();
+    U.CpuNs = CpuEnd > CpuStart ? CpuEnd - CpuStart : 0;
+  };
+
+  if (N == 1) {
+    Worker(0);
+  } else {
+    std::vector<std::thread> Threads;
+    Threads.reserve(N);
+    for (unsigned I = 0; I < N; ++I)
+      Threads.emplace_back(Worker, I);
+    for (auto &T : Threads)
+      T.join();
+  }
+
+  FleetReport FR = snapshotReport();
+  FR.CampaignsRun = static_cast<unsigned>(Pending.size());
+  FR.WallSeconds = Wall.seconds();
+
+  // Utilization rollup: where did (workers x wall) go.
+  double BusySeconds = 0;
+  for (const WorkerUtilization &U : Util)
+    BusySeconds += U.BusyNs / 1e9;
+  double Capacity = static_cast<double>(Util.size()) * FR.WallSeconds;
+  if (Capacity > 0) {
+    FR.BusyFrac = std::min(1.0, BusySeconds / Capacity);
+    FR.IdleFrac = 1.0 - FR.BusyFrac;
+  }
+  FR.Workers = std::move(Util);
+  RunSpan.arg("critical_path_ms",
+              static_cast<uint64_t>(FR.CriticalPathSeconds * 1e3));
+  return FR;
+}
+
+//===----------------------------------------------------------------------===//
+// Incremental mode
+//===----------------------------------------------------------------------===//
+//
+// The collector daemon's shape of progress: discrete ReconstructionSession
+// steps interleaved with spool drains, with up to Config.Jobs campaigns
+// holding slots at once. Everything here runs on the daemon's control
+// thread — determinism needs no synchronization, and campaign results
+// cannot depend on slot scheduling because each campaign is fully
+// isolated (the shared solver cache returns byte-identical answers).
 
 bool FleetScheduler::scheduleSlots() {
   FleetMetrics &FM = FleetMetrics::get();
@@ -491,7 +459,8 @@ bool FleetScheduler::scheduleSlots() {
       size_t Slot = activeSlot(*It);
       if (Slot == Active.size())
         continue;
-      if (Active[Slot]->StepsTaken >= Config.Preempt.MinStepsBeforePreempt)
+      if (Active[Slot]->Session->stepsDone() >=
+          Config.Preempt.MinStepsBeforePreempt)
         WeakSlot = Slot;
       break; // Only the lowest-priority active campaign is a candidate.
     }
@@ -513,7 +482,7 @@ bool FleetScheduler::scheduleSlots() {
       obs::ScopedSpan Span("fleet.preempt", "fleet");
       Span.arg("suspended", W.Sig.hex());
       Span.arg("for", Campaigns[Hot].Sig.hex());
-      Span.arg("steps_done", static_cast<uint64_t>(RT->StepsTaken));
+      Span.arg("steps_done", static_cast<uint64_t>(W.IterationsDone));
     }
     Parked[RT->Idx] = std::move(RT);
     activate(Hot);
@@ -532,34 +501,11 @@ unsigned FleetScheduler::stepCampaigns(unsigned MaxSteps) {
       break;
     // Round-robin one step per active campaign, hottest slot first.
     for (size_t I = 0; I < Active.size() && !(Budgeted && Steps >= MaxSteps);) {
-      CampaignRuntime &RT = *Active[I];
-      Campaign &C = Campaigns[RT.Idx];
-      bool More;
-      {
-        obs::TraceScope Traced(obs::TraceContext{C.TraceHi, C.TraceLo, 0});
-        obs::ScopedSpan Span("fleet.campaign.step", "fleet");
-        Span.arg("sig", C.Sig.hex());
-        Span.arg("bug", C.BugId);
-        Span.arg("step", static_cast<uint64_t>(RT.StepsTaken));
-        // Per-campaign wall/CPU accounting (critical-path + cpu_s rollups
-        // in snapshotReport) — two clock reads per step, write-only.
-        uint64_t S = fleetNowNs(), Cpu0 = obs::threadCpuTimeNs();
-        More = RT.Session->step();
-        uint64_t E = fleetNowNs(), Cpu1 = obs::threadCpuTimeNs();
-        C.WallNs += E > S ? E - S : 0;
-        C.CpuNs += Cpu1 > Cpu0 ? Cpu1 - Cpu0 : 0;
-        if (RT.Session->finished() && !RT.Session->resultTag().empty())
-          Span.arg("result", RT.Session->resultTag());
-      }
-      ++RT.StepsTaken;
       ++Steps;
-      C.IterationsDone = RT.Session->stepsDone();
-      if (!More) {
-        finalizeCampaign(RT);
-        Active.erase(Active.begin() + I);
-      } else {
+      if (stepRuntime(*Active[I]))
         ++I;
-      }
+      else
+        Active.erase(Active.begin() + I);
     }
     if (Budgeted && Steps >= MaxSteps)
       break;
@@ -617,7 +563,7 @@ std::vector<CampaignStatus> FleetScheduler::campaignStatuses() const {
       for (const auto &RT : Active)
         if (RT->Idx == Idx) {
           Row.Phase = CampaignPhase::Active;
-          Row.IterationsDone = RT->StepsTaken;
+          Row.IterationsDone = RT->Session->stepsDone();
           break;
         }
     }

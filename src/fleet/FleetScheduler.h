@@ -5,7 +5,7 @@
 /// lacks: a service that collects failure reports from many production
 /// machines, deduplicates them into per-bug *campaigns* via
 /// FailureSignature, triages the campaigns by how often each failure
-/// reoccurs, and runs up to N ReconstructionDriver campaigns concurrently.
+/// reoccurs, and runs up to N ReconstructionSession campaigns concurrently.
 ///
 /// Isolation and determinism:
 ///  - Every campaign compiles its own Module and owns its own
@@ -125,9 +125,9 @@ struct Campaign {
   /// lane to its reconstruction lane. 0/0 = untraced bucket.
   uint64_t TraceHi = 0;
   uint64_t TraceLo = 0;
-  /// Wall/thread-CPU time this process spent executing the campaign
-  /// (batch run() or accumulated session steps). In-memory only, never
-  /// persisted — timing is nondeterministic, state files are not.
+  /// Wall/thread-CPU time this process spent in the campaign's session
+  /// steps (either mode). In-memory only, never persisted — timing is
+  /// nondeterministic, state files are not.
   uint64_t WallNs = 0;
   uint64_t CpuNs = 0;
   ReconstructionReport Report;
@@ -145,10 +145,10 @@ struct WorkerInterval {
   uint64_t EndNs = 0;
 };
 
-/// Busy/idle timeline of one run() worker thread. Busy = inside
-/// runCampaign (reoccurrence waits included — that's the point); idle =
-/// claim overhead plus the tail wait for slower workers, measured against
-/// the worker's own spawn-to-exit span.
+/// Busy/idle timeline of one run() worker thread. Busy = from claiming a
+/// campaign to finalizing it (reoccurrence waits included — that's the
+/// point); idle = claim overhead plus the tail wait for slower workers,
+/// measured against the worker's own spawn-to-exit span.
 struct WorkerUtilization {
   unsigned WorkerId = 0;
   uint64_t BusyNs = 0;
@@ -171,8 +171,8 @@ struct FleetReport {
   double WallSeconds = 0;
   SolverCacheStats Cache;
   //===--- Utilization accounting (docs/OBSERVABILITY.md, "Profiling") --===//
-  /// Thread-CPU seconds summed over the workers (run()) or over campaign
-  /// steps (incremental mode).
+  /// Thread-CPU seconds spent in campaign session steps, summed over
+  /// campaigns (Campaign::CpuNs).
   double CpuSeconds = 0;
   /// Longest single campaign's wall time — the schedule's critical path:
   /// campaigns are independent, so run() can never finish faster than its
@@ -248,15 +248,15 @@ public:
 
   //===--- Incremental mode (collector daemon) ------------------------===//
   //
-  // run() executes every pending campaign to completion on a worker pool
-  // — the right shape for a one-shot drain. A long-running daemon instead
+  // run() steps every pending campaign to completion on a worker pool —
+  // the right shape for a one-shot drain. A long-running daemon instead
   // interleaves campaign progress with spool drains: stepCampaigns()
-  // advances up to Config.Jobs campaigns by discrete ReconstructionSession
-  // steps on the calling thread, activating pending buckets in triage
-  // order, preempting per Config.Preempt, and parking suspended sessions
-  // in memory so a later call resumes them exactly. Results are
-  // byte-identical to run() on the same submissions. Do not mix run() and
-  // stepCampaigns() on the same scheduler instance.
+  // advances up to Config.Jobs campaigns by the same session steps on the
+  // calling thread, activating pending buckets in triage order, preempting
+  // per Config.Preempt, and parking suspended sessions in memory so a
+  // later call resumes them exactly. Results are byte-identical to run()
+  // on the same submissions. Do not mix run() and stepCampaigns() on the
+  // same scheduler instance.
 
   /// Advances active campaigns by at most \p MaxSteps session steps
   /// (0 = run until no pending work remains). Returns steps performed.
@@ -309,14 +309,20 @@ private:
   /// Indices of Campaigns in triage order: occurrence count descending,
   /// digest then bug id as deterministic tie-breaks.
   std::vector<size_t> triageOrder() const;
-  void runCampaign(Campaign &C);
   Campaign &campaignFor(const FailureSignature &Sig, const std::string &BugId);
 
   /// Fills free worker slots from the triage queue (unparking suspended
   /// sessions when their campaign is selected) and applies the preemption
   /// policy. Returns true if any slot changed hands.
   bool scheduleSlots();
+  /// Builds campaign \p Idx's isolated runtime, or completes the campaign
+  /// inline and returns null when its workload is unknown.
   std::unique_ptr<CampaignRuntime> makeRuntime(size_t Idx);
+  /// One session step under the campaign's trace scope and
+  /// fleet.campaign.step span, charged to Campaign::WallNs/CpuNs;
+  /// finalizes the campaign when the session finishes. Returns true while
+  /// more work remains.
+  bool stepRuntime(CampaignRuntime &RT);
   void finalizeCampaign(CampaignRuntime &RT);
 
   FleetConfig Config;

@@ -231,11 +231,14 @@ void PhaseProfiler::exitPhase() {
     return; // Truncated frame: parent keeps the time as child time.
   uint64_t SelfWall = WallDur > F.ChildWallNs ? WallDur - F.ChildWallNs : 0;
   uint64_t SelfCpu = CpuDur > F.ChildCpuNs ? CpuDur - F.ChildCpuNs : 0;
+  // Total before Self, Self with release: a snapshot that acquires a Self
+  // value then sees at least the Total added with it, so Total >= Self
+  // holds mid-run. Each node has one writer thread, so no more is needed.
   F.Node->Count.fetch_add(1, std::memory_order_relaxed);
-  F.Node->SelfWallNs.fetch_add(SelfWall, std::memory_order_relaxed);
-  F.Node->SelfCpuNs.fetch_add(SelfCpu, std::memory_order_relaxed);
   F.Node->TotalWallNs.fetch_add(WallDur, std::memory_order_relaxed);
   F.Node->TotalCpuNs.fetch_add(CpuDur, std::memory_order_relaxed);
+  F.Node->SelfWallNs.fetch_add(SelfWall, std::memory_order_release);
+  F.Node->SelfCpuNs.fetch_add(SelfCpu, std::memory_order_release);
 }
 
 ProfileSnapshot PhaseProfiler::snapshot() const {
@@ -274,8 +277,9 @@ ProfileSnapshot PhaseProfiler::snapshot() const {
         P.Path = Path;
         P.Depth = N.Depth;
         P.Count += Count;
-        P.SelfWallNs += N.SelfWallNs.load(std::memory_order_relaxed);
-        P.SelfCpuNs += N.SelfCpuNs.load(std::memory_order_relaxed);
+        // Self (acquire) before Total: pairs with exitPhase's order.
+        P.SelfWallNs += N.SelfWallNs.load(std::memory_order_acquire);
+        P.SelfCpuNs += N.SelfCpuNs.load(std::memory_order_acquire);
         P.TotalWallNs += N.TotalWallNs.load(std::memory_order_relaxed);
         P.TotalCpuNs += N.TotalCpuNs.load(std::memory_order_relaxed);
       }

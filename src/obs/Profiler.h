@@ -22,7 +22,7 @@
 /// atomic loads and nothing else — gated in bench_obs_overhead at <= 2x
 /// the disabled-span baseline. Enabled enter/exit is two clock reads plus
 /// a per-thread tree walk; no global lock on the hot path (tree-structure
-/// growth takes a per-thread mutex, counter updates are relaxed atomics),
+/// growth takes a per-thread mutex, counter updates are lock-free atomics),
 /// so a live `/profile` scrape never blocks workers.
 ///
 /// Determinism: like spans and metrics, profiles are write-only side
@@ -78,7 +78,7 @@ void sampleProcessGauges(MetricsRegistry &Reg);
 /// One aggregated phase path in a profile snapshot.
 struct ProfilePhase {
   /// Folded path: span names from the thread root joined by ';'
-  /// (e.g. "fleet.campaign;er.iteration;er.symex").
+  /// (e.g. "fleet.campaign.step;er.iteration;er.symex").
   std::string Path;
   uint32_t Depth = 0; ///< Segments in Path minus one.
   uint64_t Count = 0; ///< Completed enter/exit pairs.

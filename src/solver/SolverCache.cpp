@@ -69,11 +69,8 @@ void SolverResultCache::evictOne(Shard &S) {
   uint64_t VictimScore = 0, VictimSeq = 0;
   for (auto It = S.Map.begin(); It != S.Map.end(); ++It) {
     const Entry &E = It->second;
-    // FIFO scores everything equal, leaving the Seq tie-break to pick the
-    // oldest; cost-weighted keeps what future hits would save the most.
-    uint64_t Score = Config.Eviction == CacheEvictionPolicy::FIFO
-                         ? 0
-                         : E.Result.WorkUsed * (E.HitCount + 1);
+    // Keep what future hits would save the most; ties evict the oldest.
+    uint64_t Score = E.Result.WorkUsed * (E.HitCount + 1);
     if (Victim == S.Map.end() || Score < VictimScore ||
         (Score == VictimScore && E.Seq < VictimSeq)) {
       Victim = It;

@@ -39,29 +39,18 @@ namespace er {
 enum class QueryStatus; // Solver.h
 class FsOps;            // support/Fs.h
 
-/// What to evict when a shard overflows.
-enum class CacheEvictionPolicy {
-  /// Oldest insertion first, ignoring entry value.
-  FIFO,
-  /// Lowest retention score first, where score = WorkUsed x (hits + 1):
-  /// the solver work a future hit on this entry is expected to save.
-  /// Cheap-to-recompute, never-reused entries go first; an expensive
-  /// query that campaigns keep re-asking is the last thing dropped.
-  /// Ties (e.g. a cold cache where nothing has hit yet) break FIFO.
-  CostWeighted,
-};
-
 /// Tuning for the shared cache.
 struct SolverCacheConfig {
   /// Number of independently locked shards; queries hash-partition across
   /// them so concurrent campaigns rarely contend.
   unsigned NumShards = 16;
-  /// Per-shard entry cap; overflow evicts per \p Eviction.
+  /// Per-shard entry cap. Overflow evicts the entry with the lowest
+  /// retention score WorkUsed x (hits + 1) — the solver work a future hit
+  /// on it is expected to save — so cheap-to-recompute, never-reused
+  /// entries go first. Ties (e.g. a cold cache where nothing has hit yet)
+  /// evict the oldest insertion. Eviction only decides which entries
+  /// *stay* cached: hits remain byte-identical to fresh solves.
   size_t MaxEntriesPerShard = 4096;
-  /// Eviction policy; cost-weighted by default (the policy only affects
-  /// which entries *stay* cached — hits remain byte-identical to fresh
-  /// solves either way, so this is purely a hit-rate/wall-time knob).
-  CacheEvictionPolicy Eviction = CacheEvictionPolicy::CostWeighted;
 };
 
 /// Aggregate counters (surfaced in FleetReport).
@@ -131,7 +120,7 @@ public:
   bool lookup(const QueryDigest &D, CachedQueryResult &Out);
 
   /// Inserts \p R under \p D (first-writer-wins; a racing duplicate insert
-  /// is dropped). Evicts per the configured policy when the shard is full.
+  /// is dropped). Evicts one entry when the shard is full.
   void insert(const QueryDigest &D, const CachedQueryResult &R);
 
   /// Snapshot of the aggregate counters.
@@ -183,12 +172,12 @@ public:
               uint64_t ConflictCost, uint64_t PropagationCost);
 
 private:
-  /// A cached result plus the bookkeeping the eviction policy scores by.
+  /// A cached result plus the bookkeeping eviction scores by.
   struct Entry {
     CachedQueryResult Result;
     uint64_t HitCount = 0;
-    /// Monotonic per-shard insertion stamp: the FIFO order, and the
-    /// deterministic tie-break for cost-weighted eviction.
+    /// Monotonic per-shard insertion stamp: the deterministic tie-break
+    /// for eviction.
     uint64_t Seq = 0;
   };
 
@@ -209,7 +198,8 @@ private:
     uint64_t Hits = 0, Misses = 0, Insertions = 0, Evictions = 0;
   };
 
-  /// Removes the entry the policy likes least. Caller holds the shard lock.
+  /// Removes the lowest-scoring (then oldest) entry. Caller holds the
+  /// shard lock.
   void evictOne(Shard &S);
 
   Shard &shardFor(const QueryDigest &D) {

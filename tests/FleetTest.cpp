@@ -52,6 +52,25 @@ std::string tempPath(const std::string &Name) {
   return testing::TempDir() + "/" + Name;
 }
 
+/// Serialized scheduler state with the one wall-clock field scrubbed —
+/// the byte-comparison proxy for "the same result".
+std::string stateBytes(const FleetScheduler &Sched) {
+  std::string Path =
+      tempPath("er_fleet_state_cmp." + std::to_string(::getpid()) + ".txt");
+  std::string Err;
+  EXPECT_TRUE(Sched.saveState(Path, &Err)) << Err;
+  std::ifstream IS(Path, std::ios::binary);
+  std::string S, Line;
+  while (std::getline(IS, Line)) {
+    if (Line.rfind("symexseconds ", 0) == 0)
+      Line = "symexseconds <scrubbed>";
+    S += Line;
+    S += '\n';
+  }
+  std::remove(Path.c_str());
+  return S;
+}
+
 //===----------------------------------------------------------------------===//
 // FailureSignature
 //===----------------------------------------------------------------------===//
@@ -173,32 +192,70 @@ TEST(FleetScheduler, DedupsAndTriagesByOccurrenceCount) {
 }
 
 TEST(FleetScheduler, DeterministicAcrossJobCounts) {
-  FleetReport Reports[2];
-  unsigned JobCounts[2] = {1, 4};
-  for (int I = 0; I < 2; ++I) {
-    FleetScheduler Sched(fastConfig(JobCounts[I]));
+  // Batch run() and daemon-style stepCampaigns() at 1 and 4 jobs: every
+  // combination must land on the same campaigns, byte for byte.
+  struct Mode {
+    unsigned Jobs;
+    bool Stepped;
+  };
+  const Mode Modes[] = {{1, false}, {4, false}, {1, true}, {4, true}};
+  constexpr size_t NumModes = sizeof(Modes) / sizeof(Modes[0]);
+  FleetReport Reports[NumModes];
+  std::string States[NumModes];
+  for (size_t I = 0; I < NumModes; ++I) {
+    FleetScheduler Sched(fastConfig(Modes[I].Jobs));
     harvestFastCorpus(Sched);
-    Reports[I] = Sched.run();
+    if (Modes[I].Stepped) {
+      Sched.stepCampaigns();
+      ASSERT_FALSE(Sched.hasPendingWork());
+      Reports[I] = Sched.snapshotReport();
+    } else {
+      Reports[I] = Sched.run();
+      // Exactly one worker interval per campaign run() executed.
+      const FleetReport &FR = Reports[I];
+      std::vector<unsigned> Claims(FR.Campaigns.size());
+      size_t Intervals = 0;
+      for (const WorkerUtilization &U : FR.Workers)
+        for (const WorkerInterval &WI : U.Intervals) {
+          ASSERT_LT(WI.CampaignIndex, Claims.size());
+          ++Claims[WI.CampaignIndex];
+          ++Intervals;
+        }
+      EXPECT_EQ(Intervals, FR.CampaignsRun);
+      EXPECT_EQ(FR.CampaignsRun, FR.Campaigns.size());
+      for (unsigned N : Claims)
+        EXPECT_EQ(N, 1u);
+    }
+    States[I] = stateBytes(Sched);
   }
-  const FleetReport &A = Reports[0], &B = Reports[1];
+  const FleetReport &A = Reports[0];
   ASSERT_GE(A.Campaigns.size(), 3u) << "corpus produced too few buckets";
-  ASSERT_EQ(A.Campaigns.size(), B.Campaigns.size());
   unsigned Reproduced = 0;
-  for (size_t I = 0; I < A.Campaigns.size(); ++I) {
-    const Campaign &CA = A.Campaigns[I], &CB = B.Campaigns[I];
-    EXPECT_EQ(CA.Sig, CB.Sig);
-    EXPECT_EQ(CA.Occurrences, CB.Occurrences);
-    EXPECT_EQ(CA.CampaignSeed, CB.CampaignSeed);
-    EXPECT_EQ(CA.Report.Success, CB.Report.Success);
-    EXPECT_EQ(CA.Report.Occurrences, CB.Report.Occurrences);
-    // The acceptance bar: byte-identical test cases per bucket.
-    EXPECT_EQ(CA.Report.TestCase.Args, CB.Report.TestCase.Args);
-    EXPECT_EQ(CA.Report.TestCase.Bytes, CB.Report.TestCase.Bytes);
-    EXPECT_EQ(CA.Report.ReplayScheduleSeed, CB.Report.ReplayScheduleSeed);
-    EXPECT_EQ(CA.RecordingSet, CB.RecordingSet);
-    Reproduced += CA.Report.Success;
-  }
+  for (const Campaign &C : A.Campaigns)
+    Reproduced += C.Report.Success;
   EXPECT_GT(Reproduced, 0u);
+  for (size_t J = 1; J < NumModes; ++J) {
+    SCOPED_TRACE(testing::Message()
+                 << (Modes[J].Stepped ? "stepCampaigns" : "run") << " at "
+                 << Modes[J].Jobs << " jobs vs run at 1 job");
+    // The acceptance bar: byte-identical persisted state...
+    EXPECT_EQ(States[J], States[0]);
+    const FleetReport &B = Reports[J];
+    ASSERT_EQ(A.Campaigns.size(), B.Campaigns.size());
+    for (size_t I = 0; I < A.Campaigns.size(); ++I) {
+      const Campaign &CA = A.Campaigns[I], &CB = B.Campaigns[I];
+      EXPECT_EQ(CA.Sig, CB.Sig);
+      EXPECT_EQ(CA.Occurrences, CB.Occurrences);
+      EXPECT_EQ(CA.CampaignSeed, CB.CampaignSeed);
+      EXPECT_EQ(CA.Report.Success, CB.Report.Success);
+      EXPECT_EQ(CA.Report.Occurrences, CB.Report.Occurrences);
+      // ...and byte-identical test cases per bucket.
+      EXPECT_EQ(CA.Report.TestCase.Args, CB.Report.TestCase.Args);
+      EXPECT_EQ(CA.Report.TestCase.Bytes, CB.Report.TestCase.Bytes);
+      EXPECT_EQ(CA.Report.ReplayScheduleSeed, CB.Report.ReplayScheduleSeed);
+      EXPECT_EQ(CA.RecordingSet, CB.RecordingSet);
+    }
+  }
 }
 
 TEST(FleetScheduler, SharedCacheGetsHits) {
@@ -296,7 +353,6 @@ TEST(SolverCache, CostWeightedEvictionKeepsValuableEntries) {
   SolverCacheConfig CC;
   CC.NumShards = 1;
   CC.MaxEntriesPerShard = 2;
-  CC.Eviction = CacheEvictionPolicy::CostWeighted;
   SolverResultCache Cache(CC);
 
   auto Digest = [](uint64_t K) { return QueryDigest{K, K * 31}; };
@@ -331,28 +387,16 @@ TEST(SolverCache, CostWeightedEvictionKeepsValuableEntries) {
   Cache.insert(Digest(4), Result(1));
   EXPECT_FALSE(Cache.lookup(Digest(4), Out));
   EXPECT_EQ(Cache.getStats().Entries, 2u);
-}
 
-TEST(SolverCache, FifoPolicyEvictsOldest) {
-  SolverCacheConfig CC;
-  CC.NumShards = 1;
-  CC.MaxEntriesPerShard = 2;
-  CC.Eviction = CacheEvictionPolicy::FIFO;
-  SolverResultCache Cache(CC);
-
-  auto Digest = [](uint64_t K) { return QueryDigest{K, K * 31}; };
-  CachedQueryResult R;
-  R.Status = QueryStatus::Sat;
-  R.WorkUsed = 1000; // High value must not save the oldest entry.
-  Cache.insert(Digest(1), R);
-  R.WorkUsed = 1;
-  Cache.insert(Digest(2), R);
-  Cache.insert(Digest(3), R);
-
-  CachedQueryResult Out;
-  EXPECT_FALSE(Cache.lookup(Digest(1), Out));
-  EXPECT_TRUE(Cache.lookup(Digest(2), Out));
-  EXPECT_TRUE(Cache.lookup(Digest(3), Out));
+  // Equal scores evict the oldest insertion: fill a fresh shard with two
+  // never-hit entries of equal work, then overflow with a third.
+  SolverResultCache Tied(CC);
+  Tied.insert(Digest(5), Result(20));
+  Tied.insert(Digest(6), Result(20));
+  Tied.insert(Digest(7), Result(20));
+  EXPECT_FALSE(Tied.lookup(Digest(5), Out)) << "tie must evict the oldest";
+  EXPECT_TRUE(Tied.lookup(Digest(6), Out));
+  EXPECT_TRUE(Tied.lookup(Digest(7), Out));
 }
 
 TEST(SolverCache, EvictionKeepsCorrectness) {

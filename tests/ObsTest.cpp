@@ -16,6 +16,7 @@
 #include "obs/Tracer.h"
 
 #include "er/Driver.h"
+#include "fleet/FleetScheduler.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -354,6 +355,57 @@ TEST(ObsEndToEnd, DriverEmitsSpansAndMetrics) {
       obs::spansToChromeTrace(Spans, Tracer.droppedSpans()), &Err))
       << Err;
   Tracer.clear();
+}
+
+// Both fleet execution modes step campaigns through the same helper: one
+// fleet.campaign.step span per session step, the last of which names the
+// outcome.
+TEST(ObsEndToEnd, FleetCampaignStepSpansEndWithResult) {
+  auto &Tracer = obs::PipelineTracer::global();
+  for (bool Stepped : {false, true}) {
+    SCOPED_TRACE(Stepped ? "stepCampaigns" : "run");
+    FleetConfig FC;
+    FC.Jobs = 2;
+    FleetScheduler Sched(FC);
+    for (const char *Id : {"Bash-108885", "PHP-2012-2386"})
+      Sched.harvest(*findBug(Id), 60, /*MachineId=*/1);
+    Tracer.clear();
+    Tracer.setEnabled(true);
+    if (Stepped)
+      Sched.stepCampaigns();
+    else
+      Sched.run();
+    Tracer.setEnabled(false);
+    ASSERT_EQ(Tracer.droppedSpans(), 0u);
+    auto Spans = Tracer.snapshot();
+    Tracer.clear();
+
+    auto argOf = [](const obs::SpanRecord &S, std::string_view Key) {
+      for (const obs::SpanArg &A : S.Args)
+        if (A.Key == Key)
+          return &A;
+      return static_cast<const obs::SpanArg *>(nullptr);
+    };
+    ASSERT_GE(Sched.numCampaigns(), 2u);
+    for (const Campaign &C : Sched.getCampaigns()) {
+      ASSERT_TRUE(C.Completed);
+      const obs::SpanRecord *Last = nullptr;
+      unsigned Steps = 0;
+      for (const obs::SpanRecord &S : Spans) {
+        const obs::SpanArg *Sig = argOf(S, "sig");
+        if (S.Name != "fleet.campaign.step" || !Sig || Sig->Str != C.Sig.hex())
+          continue;
+        ++Steps;
+        if (!Last || S.StartNs >= Last->StartNs)
+          Last = &S;
+      }
+      EXPECT_EQ(Steps, C.IterationsDone) << C.BugId;
+      ASSERT_NE(Last, nullptr) << C.BugId;
+      const obs::SpanArg *Result = argOf(*Last, "result");
+      ASSERT_NE(Result, nullptr) << C.BugId;
+      EXPECT_EQ(Result->Str == "reproduced", C.Report.Success) << C.BugId;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

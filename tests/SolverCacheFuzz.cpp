@@ -350,42 +350,36 @@ TEST(SolverCacheFuzz, ConcurrentMutationDuringSerializeIsSafe) {
 }
 
 TEST(SolverCacheFuzz, EvictionReplaysDeterministicallyAfterReload) {
-  for (CacheEvictionPolicy Policy :
-       {CacheEvictionPolicy::CostWeighted, CacheEvictionPolicy::FIFO}) {
-    SolverCacheConfig CC;
-    CC.NumShards = 2;
-    CC.MaxEntriesPerShard = 8;
-    CC.Eviction = Policy;
+  SolverCacheConfig CC;
+  CC.NumShards = 2;
+  CC.MaxEntriesPerShard = 8;
 
-    // Shape a cache that is already at capacity with a non-trivial hit
-    // profile (hits raise cost-weighted retention scores).
-    SolverResultCache A(CC);
-    Rng R(FuzzSeed + 6);
-    auto In = populate(A, R, 40);
-    for (size_t I = 0; I < In.size(); I += 3) {
-      CachedQueryResult Out;
-      A.lookup(In[I].first, Out);
-    }
-
-    // Reload into B, then subject both to the SAME overflow-inducing
-    // insert stream. If the Seq stamps and hit counts didn't persist,
-    // the two caches would evict different victims and diverge.
-    std::vector<uint8_t> Img = A.serialize();
-    SolverResultCache B(CC);
-    ASSERT_TRUE(B.deserialize(Img.data(), Img.size()));
-    ASSERT_EQ(B.serialize(), Img);
-
-    Rng More(FuzzSeed + 7);
-    for (unsigned I = 0; I < 30; ++I) {
-      QueryDigest D = randomDigest(More);
-      CachedQueryResult Q = randomResult(More);
-      A.insert(D, Q);
-      B.insert(D, Q);
-    }
-    EXPECT_EQ(A.serialize(), B.serialize())
-        << "eviction diverged after reload under policy "
-        << (Policy == CacheEvictionPolicy::FIFO ? "FIFO" : "CostWeighted");
+  // Shape a cache that is already at capacity with a non-trivial hit
+  // profile (hits raise retention scores).
+  SolverResultCache A(CC);
+  Rng R(FuzzSeed + 6);
+  auto In = populate(A, R, 40);
+  for (size_t I = 0; I < In.size(); I += 3) {
+    CachedQueryResult Out;
+    A.lookup(In[I].first, Out);
   }
+
+  // Reload into B, then subject both to the SAME overflow-inducing
+  // insert stream. If the Seq stamps and hit counts didn't persist,
+  // the two caches would evict different victims and diverge.
+  std::vector<uint8_t> Img = A.serialize();
+  SolverResultCache B(CC);
+  ASSERT_TRUE(B.deserialize(Img.data(), Img.size()));
+  ASSERT_EQ(B.serialize(), Img);
+
+  Rng More(FuzzSeed + 7);
+  for (unsigned I = 0; I < 30; ++I) {
+    QueryDigest D = randomDigest(More);
+    CachedQueryResult Q = randomResult(More);
+    A.insert(D, Q);
+    B.insert(D, Q);
+  }
+  EXPECT_EQ(A.serialize(), B.serialize()) << "eviction diverged after reload";
 }
 
 } // namespace
