@@ -646,26 +646,14 @@ net::HttpResponse CollectorDaemon::handleUpload(const net::HttpRequest &Req) {
   if (Req.Body.empty())
     return Reject(400, "empty report frame");
 
-  // Validate the whole frame before publishing anything: header, then
-  // every record's length + CRC. The spool must only ever contain files
-  // a drain will fully decode.
-  const uint8_t *Data = reinterpret_cast<const uint8_t *>(Req.Body.data());
-  size_t Size = Req.Body.size(), Offset = 0;
-  uint32_t Version = 0;
-  DecodeStatus DS = decodeSpoolHeader(Data, Size, Offset, Version);
-  uint64_t Records = 0, Machine = 0, FirstSeq = 0;
-  while (DS == DecodeStatus::Ok && Offset < Size) {
-    FleetFailureReport Rec;
-    DS = decodeReport(Data, Size, Offset, Rec);
-    if (DS != DecodeStatus::Ok)
-      break;
-    if (!Records) {
-      Machine = Rec.MachineId;
-      FirstSeq = Rec.Sequence;
-    }
-    ++Records;
-  }
-  if (DS != DecodeStatus::Ok || Records == 0) {
+  // Validate the whole frame before publishing anything, with the same
+  // whole-file decoder the drain uses: the spool must only ever contain
+  // files a drain will fully decode.
+  std::vector<FleetFailureReport> Frame;
+  DecodeStatus DS = decodeSpoolFile(
+      reinterpret_cast<const uint8_t *>(Req.Body.data()), Req.Body.size(),
+      Frame);
+  if (DS != DecodeStatus::Ok || Frame.empty()) {
     // A frame that fails CRC/framing goes to the quarantine, exactly
     // where the drain puts a corrupt on-disk file — same triage
     // directory, same operator workflow (docs/INGEST.md).
@@ -677,12 +665,14 @@ net::HttpResponse CollectorDaemon::handleUpload(const net::HttpRequest &Req) {
     if (Fs.createDirectories(QDir))
       Fs.writeFile(QDir + "/" + QName, Req.Body);
     UM.Quarantined.inc();
-    std::string Why = Records == 0 && DS == DecodeStatus::Ok
+    std::string Why = DS == DecodeStatus::Ok
                           ? std::string("frame contains no records")
                           : std::string("bad frame (") + decodeStatusName(DS) +
                                 ")";
     return Reject(400, Why + "; quarantined as " + QName);
   }
+  uint64_t Records = Frame.size(), Machine = Frame.front().MachineId,
+           FirstSeq = Frame.front().Sequence;
 
   // Publish exactly as a SpoolWriter would: the body IS a spool file.
   // The final name is content-derived — (machine, first sequence) — so a

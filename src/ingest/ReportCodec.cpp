@@ -2,7 +2,8 @@
 
 #include "ingest/ReportCodec.h"
 
-#include <array>
+#include "support/Bytes.h"
+
 #include <cstring>
 
 using namespace er;
@@ -27,77 +28,29 @@ const char *er::decodeStatusName(DecodeStatus S) {
   return "unknown";
 }
 
-//===----------------------------------------------------------------------===//
-// Little-endian primitives
-//===----------------------------------------------------------------------===//
-
-static void putU32(std::vector<uint8_t> &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
+/// Reads a string prefixed by its u32 byte count.
+static bool readString(ByteReader &R, std::string &S) {
+  uint32_t N = R.u32();
+  const uint8_t *P = R.bytes(N);
+  if (R.failed())
+    return false;
+  S.assign(reinterpret_cast<const char *>(P), N);
+  return true;
 }
 
-static void putU64(std::vector<uint8_t> &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
+static void writeString(ByteWriter &W, const std::string &S) {
+  W.u32(static_cast<uint32_t>(S.size()));
+  W.bytes(S.data(), S.size());
 }
-
-namespace {
-/// Bounds-checked little-endian reader over a byte span.
-class ByteReader {
-public:
-  ByteReader(const uint8_t *Data, size_t Size) : Data(Data), Size(Size) {}
-
-  bool u8(uint8_t &V) {
-    if (Pos + 1 > Size)
-      return false;
-    V = Data[Pos++];
-    return true;
-  }
-  bool u32(uint32_t &V) {
-    if (Pos + 4 > Size)
-      return false;
-    V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(Data[Pos + I]) << (8 * I);
-    Pos += 4;
-    return true;
-  }
-  bool u64(uint64_t &V) {
-    if (Pos + 8 > Size)
-      return false;
-    V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(Data[Pos + I]) << (8 * I);
-    Pos += 8;
-    return true;
-  }
-  /// String prefixed by a u32 byte count.
-  bool str(std::string &S) {
-    uint32_t N = 0;
-    if (!u32(N) || N > Size - Pos)
-      return false;
-    S.assign(reinterpret_cast<const char *>(Data + Pos), N);
-    Pos += N;
-    return true;
-  }
-
-  size_t pos() const { return Pos; }
-  bool exhausted() const { return Pos == Size; }
-
-private:
-  const uint8_t *Data;
-  size_t Size;
-  size_t Pos = 0;
-};
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // Header
 //===----------------------------------------------------------------------===//
 
 void er::encodeSpoolHeader(std::vector<uint8_t> &Out) {
-  Out.insert(Out.end(), SpoolMagic, SpoolMagic + sizeof(SpoolMagic));
-  putU32(Out, SpoolWireVersion);
+  ByteWriter W(Out);
+  W.bytes(SpoolMagic, sizeof(SpoolMagic));
+  W.u32(SpoolWireVersion);
 }
 
 DecodeStatus er::decodeSpoolHeader(const uint8_t *Data, size_t Size,
@@ -106,8 +59,7 @@ DecodeStatus er::decodeSpoolHeader(const uint8_t *Data, size_t Size,
     return DecodeStatus::Truncated;
   if (std::memcmp(Data + Offset, SpoolMagic, sizeof(SpoolMagic)) != 0)
     return DecodeStatus::BadMagic;
-  ByteReader R(Data + Offset + sizeof(SpoolMagic), 4);
-  R.u32(Version);
+  Version = ByteReader(Data + Offset + sizeof(SpoolMagic), 4).u32();
   if (Version != SpoolWireVersion)
     return DecodeStatus::BadVersion;
   Offset += sizeof(SpoolMagic) + 4;
@@ -119,24 +71,26 @@ DecodeStatus er::decodeSpoolHeader(const uint8_t *Data, size_t Size,
 //===----------------------------------------------------------------------===//
 
 void er::encodeReport(const FleetFailureReport &R, std::vector<uint8_t> &Out) {
-  std::vector<uint8_t> Payload;
-  putU64(Payload, R.MachineId);
-  putU64(Payload, R.Sequence);
-  putU32(Payload, static_cast<uint32_t>(R.BugId.size()));
-  Payload.insert(Payload.end(), R.BugId.begin(), R.BugId.end());
-  Payload.push_back(static_cast<uint8_t>(R.Failure.Kind));
-  putU32(Payload, R.Failure.InstrGlobalId);
-  putU32(Payload, R.Failure.Tid);
-  putU32(Payload, static_cast<uint32_t>(R.Failure.CallStack.size()));
+  // The payload goes straight into Out behind a placeholder prefix; its
+  // length and CRC are patched in once it is complete.
+  ByteWriter W(Out);
+  size_t Prefix = W.size();
+  W.u32(0);
+  W.u32(0);
+  W.u64(R.MachineId);
+  W.u64(R.Sequence);
+  writeString(W, R.BugId);
+  W.u8(static_cast<uint8_t>(R.Failure.Kind));
+  W.u32(R.Failure.InstrGlobalId);
+  W.u32(R.Failure.Tid);
+  W.u32(static_cast<uint32_t>(R.Failure.CallStack.size()));
   for (unsigned Site : R.Failure.CallStack)
-    putU32(Payload, Site);
-  putU32(Payload, static_cast<uint32_t>(R.Failure.Message.size()));
-  Payload.insert(Payload.end(), R.Failure.Message.begin(),
-                 R.Failure.Message.end());
+    W.u32(Site);
+  writeString(W, R.Failure.Message);
 
-  putU32(Out, static_cast<uint32_t>(Payload.size()));
-  putU32(Out, crc32(Payload.data(), Payload.size()));
-  Out.insert(Out.end(), Payload.begin(), Payload.end());
+  size_t Len = W.size() - Prefix - 8;
+  W.patchU32(Prefix, static_cast<uint32_t>(Len));
+  W.patchU32(Prefix + 4, crc32(Out.data() + Prefix + 8, Len));
 }
 
 DecodeStatus er::decodeReport(const uint8_t *Data, size_t Size, size_t &Offset,
@@ -144,9 +98,8 @@ DecodeStatus er::decodeReport(const uint8_t *Data, size_t Size, size_t &Offset,
   if (Size - Offset < 8)
     return DecodeStatus::Truncated;
   ByteReader Prefix(Data + Offset, 8);
-  uint32_t Len = 0, Crc = 0;
-  Prefix.u32(Len);
-  Prefix.u32(Crc);
+  uint32_t Len = Prefix.u32();
+  uint32_t Crc = Prefix.u32();
   if (Len > MaxPayloadBytes)
     return DecodeStatus::Malformed;
   if (Size - Offset - 8 < Len)
@@ -158,28 +111,38 @@ DecodeStatus er::decodeReport(const uint8_t *Data, size_t Size, size_t &Offset,
 
   ByteReader R(Payload, Len);
   FleetFailureReport Rep;
-  uint8_t Kind = 0;
-  uint32_t Instr = 0, Tid = 0, StackLen = 0;
-  if (!R.u64(Rep.MachineId) || !R.u64(Rep.Sequence) || !R.str(Rep.BugId) ||
-      !R.u8(Kind) || !R.u32(Instr) || !R.u32(Tid) || !R.u32(StackLen))
-    return DecodeStatus::Malformed;
-  if (Kind > static_cast<uint8_t>(FailureKind::InputUnderrun) ||
+  Rep.MachineId = R.u64();
+  Rep.Sequence = R.u64();
+  readString(R, Rep.BugId);
+  uint8_t Kind = R.u8();
+  Rep.Failure.InstrGlobalId = R.u32();
+  Rep.Failure.Tid = R.u32();
+  uint32_t StackLen = R.u32();
+  if (R.failed() || Kind > static_cast<uint8_t>(FailureKind::InputUnderrun) ||
       StackLen > MaxStackDepth)
     return DecodeStatus::Malformed;
   Rep.Failure.Kind = static_cast<FailureKind>(Kind);
-  Rep.Failure.InstrGlobalId = Instr;
-  Rep.Failure.Tid = Tid;
   Rep.Failure.CallStack.reserve(StackLen);
-  for (uint32_t I = 0; I < StackLen; ++I) {
-    uint32_t Site = 0;
-    if (!R.u32(Site))
-      return DecodeStatus::Malformed;
-    Rep.Failure.CallStack.push_back(Site);
-  }
-  if (!R.str(Rep.Failure.Message) || !R.exhausted())
+  for (uint32_t I = 0; I < StackLen && !R.failed(); ++I)
+    Rep.Failure.CallStack.push_back(R.u32());
+  if (!readString(R, Rep.Failure.Message) || !R.atEnd())
     return DecodeStatus::Malformed;
 
   Out = std::move(Rep);
   Offset += 8 + Len;
   return DecodeStatus::Ok;
+}
+
+DecodeStatus er::decodeSpoolFile(const uint8_t *Data, size_t Size,
+                                 std::vector<FleetFailureReport> &Out) {
+  size_t Offset = 0;
+  uint32_t Version = 0;
+  DecodeStatus S = decodeSpoolHeader(Data, Size, Offset, Version);
+  while (S == DecodeStatus::Ok && Offset < Size) {
+    FleetFailureReport R;
+    S = decodeReport(Data, Size, Offset, R);
+    if (S == DecodeStatus::Ok)
+      Out.push_back(std::move(R));
+  }
+  return S;
 }

@@ -17,8 +17,9 @@
 /// truncated or bit-flipped file yields a typed error, not a crash — the
 /// collector quarantines such files.
 ///
-/// Everything here is pure byte-vector transformation; file and directory
-/// handling lives in ReportSpool / ReportCollector.
+/// Everything here is pure byte-vector transformation over the shared
+/// little-endian primitives in support/Bytes.h; file and directory handling
+/// lives in ReportSpool / ReportCollector.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,6 +70,14 @@ void encodeReport(const FleetFailureReport &R, std::vector<uint8_t> &Out);
 /// internal structure is inconsistent.
 DecodeStatus decodeReport(const uint8_t *Data, size_t Size, size_t &Offset,
                           FleetFailureReport &Out);
+
+/// Decodes a whole spool file (header, then records to the last byte),
+/// appending each record to \p Out. The file is only good if every record
+/// is: on any status but Ok, callers must discard all of it (partial
+/// credit from a torn file would skew occurrence counts), and \p Out may
+/// hold the records decoded before the defect.
+DecodeStatus decodeSpoolFile(const uint8_t *Data, size_t Size,
+                             std::vector<FleetFailureReport> &Out);
 
 } // namespace er
 

@@ -148,25 +148,6 @@ bool reportLess(const FleetFailureReport &A, const FleetFailureReport &B) {
   return KeyA < KeyB;
 }
 
-/// Decodes one whole spool file; any defect poisons the entire file
-/// (partial credit from a torn file would skew occurrence counts).
-DecodeStatus decodeSpoolFile(const std::vector<uint8_t> &Bytes,
-                             std::vector<FleetFailureReport> &Out) {
-  size_t Offset = 0;
-  uint32_t Version = 0;
-  DecodeStatus S =
-      decodeSpoolHeader(Bytes.data(), Bytes.size(), Offset, Version);
-  if (S != DecodeStatus::Ok)
-    return S;
-  while (Offset < Bytes.size()) {
-    FleetFailureReport R;
-    S = decodeReport(Bytes.data(), Bytes.size(), Offset, R);
-    if (S != DecodeStatus::Ok)
-      return S;
-    Out.push_back(std::move(R));
-  }
-  return DecodeStatus::Ok;
-}
 } // namespace
 
 namespace {
@@ -265,8 +246,9 @@ bool ReportCollector::drainInto(FleetScheduler &Sched, std::string *Error) {
     bool ReadOk = fs().readFile(Claimed, Bytes) == FsStatus::Ok;
 
     std::vector<FleetFailureReport> FileReports;
-    DecodeStatus S = ReadOk ? decodeSpoolFile(Bytes, FileReports)
-                            : DecodeStatus::Truncated;
+    DecodeStatus S =
+        ReadOk ? decodeSpoolFile(Bytes.data(), Bytes.size(), FileReports)
+               : DecodeStatus::Truncated;
     if (S != DecodeStatus::Ok) {
       // Quarantine under the original name; never let a suspect file
       // take the drain down or count partially.

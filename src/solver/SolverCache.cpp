@@ -5,6 +5,7 @@
 #include "obs/Metrics.h"
 #include "obs/Tracer.h"
 #include "solver/Solver.h"
+#include "support/Bytes.h"
 #include "support/Crc.h"
 #include "support/Fs.h"
 
@@ -164,94 +165,47 @@ struct PersistMetrics {
   }
 };
 
-void putU8(std::vector<uint8_t> &Out, uint8_t V) { Out.push_back(V); }
-void putU32(std::vector<uint8_t> &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-void putU64(std::vector<uint8_t> &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-/// Bounds-checked little-endian cursor; any overrun latches Fail.
-struct Reader {
-  const uint8_t *Data;
-  size_t Size;
-  size_t Pos = 0;
-  bool Fail = false;
-
-  bool need(size_t N) {
-    if (Size - Pos < N) {
-      Fail = true;
-      return false;
-    }
-    return true;
-  }
-  uint8_t u8() {
-    if (!need(1))
-      return 0;
-    return Data[Pos++];
-  }
-  uint32_t u32() {
-    if (!need(4))
-      return 0;
-    uint32_t V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(Data[Pos++]) << (8 * I);
-    return V;
-  }
-  uint64_t u64() {
-    if (!need(8))
-      return 0;
-    uint64_t V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(Data[Pos++]) << (8 * I);
-    return V;
-  }
-};
-
-void encodeEntry(std::vector<uint8_t> &P, const QueryDigest &D,
+void encodeEntry(ByteWriter &W, const QueryDigest &D,
                  const CachedQueryResult &R, uint64_t HitCount, uint64_t Seq) {
-  putU64(P, D.Lo);
-  putU64(P, D.Hi);
-  putU8(P, static_cast<uint8_t>(R.Status));
-  putU8(P, R.Complete ? 1 : 0);
-  putU64(P, R.WorkUsed);
-  putU64(P, HitCount);
-  putU64(P, Seq);
+  W.u64(D.Lo);
+  W.u64(D.Hi);
+  W.u8(static_cast<uint8_t>(R.Status));
+  W.u8(R.Complete ? 1 : 0);
+  W.u64(R.WorkUsed);
+  W.u64(HitCount);
+  W.u64(Seq);
 
   // Maps are emitted sorted so equal contents give equal bytes.
   std::vector<std::pair<uint32_t, uint64_t>> Vars(R.Model.VarValues.begin(),
                                                   R.Model.VarValues.end());
   std::sort(Vars.begin(), Vars.end());
-  putU32(P, static_cast<uint32_t>(Vars.size()));
+  W.u32(static_cast<uint32_t>(Vars.size()));
   for (const auto &[Id, V] : Vars) {
-    putU32(P, Id);
-    putU64(P, V);
+    W.u32(Id);
+    W.u64(V);
   }
 
   std::vector<uint32_t> ArrIds;
   for (const auto &[Id, Elems] : R.Model.ArrayValues)
     ArrIds.push_back(Id);
   std::sort(ArrIds.begin(), ArrIds.end());
-  putU32(P, static_cast<uint32_t>(ArrIds.size()));
+  W.u32(static_cast<uint32_t>(ArrIds.size()));
   for (uint32_t Id : ArrIds) {
     const auto &Elems = R.Model.ArrayValues.at(Id);
     std::vector<std::pair<uint64_t, uint64_t>> Sorted(Elems.begin(),
                                                       Elems.end());
     std::sort(Sorted.begin(), Sorted.end());
-    putU32(P, Id);
-    putU32(P, static_cast<uint32_t>(Sorted.size()));
+    W.u32(Id);
+    W.u32(static_cast<uint32_t>(Sorted.size()));
     for (const auto &[Idx, V] : Sorted) {
-      putU64(P, Idx);
-      putU64(P, V);
+      W.u64(Idx);
+      W.u64(V);
     }
   }
 
-  putU32(P, static_cast<uint32_t>(R.Values.size()));
+  W.u32(static_cast<uint32_t>(R.Values.size()));
   for (uint64_t V : R.Values)
-    putU64(P, V);
+    W.u64(V);
 }
 
 struct ParsedEntry {
@@ -261,7 +215,7 @@ struct ParsedEntry {
   uint64_t Seq = 0;
 };
 
-bool decodeEntry(Reader &R, ParsedEntry &Out) {
+bool decodeEntry(ByteReader &R, ParsedEntry &Out) {
   Out.D.Lo = R.u64();
   Out.D.Hi = R.u64();
   uint8_t Status = R.u8();
@@ -277,45 +231,48 @@ bool decodeEntry(Reader &R, ParsedEntry &Out) {
   Out.Seq = R.u64();
 
   uint32_t NumVars = R.u32();
-  for (uint32_t I = 0; I < NumVars && !R.Fail; ++I) {
+  for (uint32_t I = 0; I < NumVars && !R.failed(); ++I) {
     uint32_t Id = R.u32();
     Out.Result.Model.VarValues[Id] = R.u64();
   }
   uint32_t NumArrays = R.u32();
-  for (uint32_t I = 0; I < NumArrays && !R.Fail; ++I) {
+  for (uint32_t I = 0; I < NumArrays && !R.failed(); ++I) {
     uint32_t Id = R.u32();
     uint32_t N = R.u32();
     auto &Elems = Out.Result.Model.ArrayValues[Id];
-    for (uint32_t K = 0; K < N && !R.Fail; ++K) {
+    for (uint32_t K = 0; K < N && !R.failed(); ++K) {
       uint64_t Idx = R.u64();
       Elems[Idx] = R.u64();
     }
   }
   uint32_t NumValues = R.u32();
-  for (uint32_t I = 0; I < NumValues && !R.Fail; ++I)
+  for (uint32_t I = 0; I < NumValues && !R.failed(); ++I)
     Out.Result.Values.push_back(R.u64());
 
   // The payload length is authoritative: trailing garbage inside a
   // CRC-valid record still means a malformed image.
-  return !R.Fail && R.Pos == R.Size;
+  return !R.failed() && R.atEnd();
 }
 
 } // namespace
 
 std::vector<uint8_t> SolverResultCache::serialize() const {
   std::vector<uint8_t> Out;
-  Out.insert(Out.end(), CacheMagic, CacheMagic + 4);
-  putU32(Out, CacheVersion);
+  ByteWriter W(Out);
+  W.bytes(CacheMagic, sizeof(CacheMagic));
+  W.u32(CacheVersion);
 
-  auto emitRecord = [&Out](uint8_t Kind, const std::vector<uint8_t> &Payload) {
-    putU8(Out, Kind);
-    putU32(Out, static_cast<uint32_t>(Payload.size()));
-    std::vector<uint8_t> CrcBuf;
-    CrcBuf.reserve(Payload.size() + 1);
-    CrcBuf.push_back(Kind);
-    CrcBuf.insert(CrcBuf.end(), Payload.begin(), Payload.end());
-    putU32(Out, crc32(CrcBuf.data(), CrcBuf.size()));
-    Out.insert(Out.end(), Payload.begin(), Payload.end());
+  // Each payload is written in place behind a placeholder length and CRC,
+  // patched once the payload is complete.
+  auto emitRecord = [&](uint8_t Kind, auto &&WritePayload) {
+    W.u8(Kind);
+    size_t At = W.size();
+    W.u32(0);
+    W.u32(0);
+    WritePayload();
+    size_t Len = W.size() - At - 8;
+    W.patchU32(At, static_cast<uint32_t>(Len));
+    W.patchU32(At + 4, crc32(Out.data() + At + 8, Len, crc32(&Kind, 1)));
   };
 
   uint64_t Entries = 0;
@@ -332,18 +289,17 @@ std::vector<uint8_t> SolverResultCache::serialize() const {
                                                 : A.first.Hi < B.first.Hi;
               });
     for (const auto &[D, E] : Sorted) {
-      std::vector<uint8_t> Payload;
-      encodeEntry(Payload, D, E->Result, E->HitCount, E->Seq);
-      emitRecord(RecEntry, Payload);
+      emitRecord(RecEntry,
+                 [&] { encodeEntry(W, D, E->Result, E->HitCount, E->Seq); });
       ++Entries;
     }
-    std::vector<uint8_t> Meta;
-    putU32(Meta, static_cast<uint32_t>(SI));
-    putU64(Meta, S.NextSeq);
-    emitRecord(RecShardMeta, Meta);
+    emitRecord(RecShardMeta, [&] {
+      W.u32(static_cast<uint32_t>(SI));
+      W.u64(S.NextSeq);
+    });
   }
 
-  putU32(Out, crc32(Out.data(), Out.size()));
+  W.u32(crc32(Out.data(), Out.size()));
   PersistMetrics::get().EntriesSaved.add(Entries);
   return Out;
 }
@@ -360,13 +316,9 @@ bool SolverResultCache::deserialize(const uint8_t *Data, size_t Size,
   // is rejected, including inside lengths and the header itself).
   if (Size < 4 + 4 + 4 || std::memcmp(Data, CacheMagic, 4) != 0)
     return false;
-  Reader Hdr{Data, Size};
-  Hdr.Pos = 4;
-  if (Hdr.u32() != CacheVersion)
+  if (ByteReader(Data + 4, 4).u32() != CacheVersion)
     return false; // Future image: load-as-empty, never guess.
-  Reader Tail{Data, Size};
-  Tail.Pos = Size - 4;
-  if (Tail.u32() != crc32(Data, Size - 4))
+  if (ByteReader(Data + Size - 4, 4).u32() != crc32(Data, Size - 4))
     return false;
 
   // Parse everything before touching the cache: a malformed record midway
@@ -374,24 +326,16 @@ bool SolverResultCache::deserialize(const uint8_t *Data, size_t Size,
   std::vector<ParsedEntry> Entries;
   std::vector<std::pair<uint32_t, uint64_t>> ShardMetas;
   uint64_t Skipped = 0;
-  Reader R{Data, Size - 4};
-  R.Pos = 8;
-  while (R.Pos < R.Size) {
+  ByteReader R(Data + 8, Size - 12);
+  while (!R.atEnd()) {
     uint8_t Kind = R.u8();
     uint32_t Len = R.u32();
     uint32_t Crc = R.u32();
-    if (R.Fail || !R.need(Len))
-      return false;
-    const uint8_t *Payload = Data + R.Pos;
-    R.Pos += Len;
-    std::vector<uint8_t> CrcBuf;
-    CrcBuf.reserve(Len + 1);
-    CrcBuf.push_back(Kind);
-    CrcBuf.insert(CrcBuf.end(), Payload, Payload + Len);
-    if (crc32(CrcBuf.data(), CrcBuf.size()) != Crc)
+    const uint8_t *Payload = R.bytes(Len);
+    if (R.failed() || crc32(Payload, Len, crc32(&Kind, 1)) != Crc)
       return false;
 
-    Reader PR{Payload, Len};
+    ByteReader PR(Payload, Len);
     switch (Kind) {
     case RecEntry: {
       ParsedEntry E;
@@ -403,7 +347,7 @@ bool SolverResultCache::deserialize(const uint8_t *Data, size_t Size,
     case RecShardMeta: {
       uint32_t Idx = PR.u32();
       uint64_t NextSeq = PR.u64();
-      if (PR.Fail || PR.Pos != PR.Size)
+      if (PR.failed() || !PR.atEnd())
         return false;
       ShardMetas.emplace_back(Idx, NextSeq);
       break;

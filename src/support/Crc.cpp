@@ -6,7 +6,7 @@
 
 using namespace er;
 
-uint32_t er::crc32(const uint8_t *Data, size_t Len) {
+uint32_t er::crc32(const uint8_t *Data, size_t Len, uint32_t Prev) {
   static const auto Table = [] {
     std::array<uint32_t, 256> T{};
     for (uint32_t I = 0; I < 256; ++I) {
@@ -17,7 +17,7 @@ uint32_t er::crc32(const uint8_t *Data, size_t Len) {
     }
     return T;
   }();
-  uint32_t C = 0xFFFFFFFFu;
+  uint32_t C = Prev ^ 0xFFFFFFFFu;
   for (size_t I = 0; I < Len; ++I)
     C = Table[(C ^ Data[I]) & 0xFF] ^ (C >> 8);
   return C ^ 0xFFFFFFFFu;

@@ -198,75 +198,6 @@ DecodedThread er::decodeThreadBytes(uint32_t Tid,
   return D;
 }
 
-namespace {
-
-void putU32(std::vector<uint8_t> &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putU64(std::vector<uint8_t> &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-uint32_t getU32(const std::vector<uint8_t> &In, size_t &Pos) {
-  uint32_t V = 0;
-  for (int I = 0; I < 4; ++I)
-    V |= static_cast<uint32_t>(In[Pos++]) << (8 * I);
-  return V;
-}
-
-uint64_t getU64(const std::vector<uint8_t> &In, size_t &Pos) {
-  uint64_t V = 0;
-  for (int I = 0; I < 8; ++I)
-    V |= static_cast<uint64_t>(In[Pos++]) << (8 * I);
-  return V;
-}
-
-} // namespace
-
-std::vector<uint8_t> TraceRecorder::serialize() const {
-  // Wire format: magic "ERTR", u32 thread count, then per thread:
-  // u32 tid, u8 truncated-front flag, u64 byte length, raw packet bytes
-  // (pending TNT bits flushed into the stream).
-  std::vector<uint8_t> Out = {'E', 'R', 'T', 'R'};
-  putU32(Out, static_cast<uint32_t>(Streams.size()));
-  for (const auto &S : Streams) {
-    putU32(Out, S.Tid);
-    Out.push_back(S.TruncatedFront ? 1 : 0);
-    std::vector<uint8_t> Bytes(S.Bytes.begin(), S.Bytes.end());
-    if (S.PendingTntCount > 0) {
-      uint8_t Byte = 1;
-      Byte |= static_cast<uint8_t>(S.PendingTnt << 1);
-      Byte |= static_cast<uint8_t>(1u << (S.PendingTntCount + 1));
-      Bytes.push_back(Byte);
-    }
-    putU64(Out, Bytes.size());
-    Out.insert(Out.end(), Bytes.begin(), Bytes.end());
-  }
-  return Out;
-}
-
-DecodedTrace TraceRecorder::deserialize(const std::vector<uint8_t> &Blob) {
-  DecodedTrace D;
-  if (Blob.size() < 8 || Blob[0] != 'E' || Blob[1] != 'R' ||
-      Blob[2] != 'T' || Blob[3] != 'R')
-    fatalError("malformed trace blob");
-  size_t Pos = 4;
-  uint32_t NumThreads = getU32(Blob, Pos);
-  for (uint32_t T = 0; T < NumThreads; ++T) {
-    uint32_t Tid = getU32(Blob, Pos);
-    bool Truncated = Blob[Pos++] != 0;
-    uint64_t Len = getU64(Blob, Pos);
-    std::vector<uint8_t> Bytes(Blob.begin() + static_cast<long>(Pos),
-                               Blob.begin() + static_cast<long>(Pos + Len));
-    Pos += Len;
-    D.Threads.push_back(decodeThreadBytes(Tid, Bytes, Truncated));
-  }
-  return D;
-}
-
 DecodedTrace TraceRecorder::decode() const {
   DecodedTrace D;
   for (const auto &S : Streams) {

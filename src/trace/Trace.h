@@ -121,14 +121,6 @@ public:
   /// Decodes the recorded buffer.
   DecodedTrace decode() const;
 
-  /// Serializes the recorded streams to a flat byte blob (the "ship the
-  /// runtime trace to the analysis engine" step of Fig. 2: the online and
-  /// offline halves need not share an address space).
-  std::vector<uint8_t> serialize() const;
-
-  /// Decodes a blob produced by serialize().
-  static DecodedTrace deserialize(const std::vector<uint8_t> &Blob);
-
   const TraceStats &getStats() const { return Stats; }
   uint64_t bytesLive() const { return LiveBytes; }
   const TraceConfig &getConfig() const { return Config; }

@@ -48,6 +48,17 @@ void harvestFastCorpus(FleetScheduler &Sched, unsigned Runs = 80) {
     Sched.harvest(*findBug(Id), Runs, /*MachineId=*/1);
 }
 
+/// Lower-case hex of \p Bytes, for golden-byte comparisons.
+std::string toHex(const std::vector<uint8_t> &Bytes) {
+  static const char Digits[] = "0123456789abcdef";
+  std::string S;
+  for (uint8_t B : Bytes) {
+    S += Digits[B >> 4];
+    S += Digits[B & 15];
+  }
+  return S;
+}
+
 std::string tempPath(const std::string &Name) {
   return testing::TempDir() + "/" + Name;
 }
@@ -426,6 +437,42 @@ TEST(SolverCache, EvictionKeepsCorrectness) {
   QueryResult R = S.checkSat({Ctx.eq(X, Ctx.constant(1000, 16))});
   EXPECT_EQ(R.Status, QueryStatus::Sat);
   EXPECT_EQ(R.Model.getVar(X->getVarId()), 1000u);
+}
+
+// Pins the exact solver-cache image bytes (docs/SOLVER.md): two fixed
+// entries, one checkSat entry with var and array model values (hit once,
+// so its HitCount rides along) and one enumeration entry with Values,
+// plus both shards' NextSeq metadata and the trailing image CRC.
+TEST(SolverCache, GoldenImageBytes) {
+  SolverCacheConfig CC;
+  CC.NumShards = 2;
+  SolverResultCache Cache(CC);
+
+  CachedQueryResult Model;
+  Model.Status = QueryStatus::Sat;
+  Model.Model.VarValues = {{5, 0x1234}, {1, 7}};
+  Model.Model.ArrayValues[3] = {{2, 0xff}, {0, 9}};
+  Model.WorkUsed = 100;
+  CachedQueryResult Enum;
+  Enum.Status = QueryStatus::Sat;
+  Enum.Values = {1, 2, ~0ULL};
+  Enum.Complete = true;
+  Enum.WorkUsed = 55;
+  Cache.insert(QueryDigest{0x1111, 0x2222}, Model);
+  Cache.insert(QueryDigest{0x3333, 0x4445}, Enum);
+  CachedQueryResult Out;
+  ASSERT_TRUE(Cache.lookup(QueryDigest{0x1111, 0x2222}, Out));
+
+  EXPECT_EQ(toHex(Cache.serialize()),
+            "4552534301000000017600000004640690111100000000000022220000000000"
+            "0000006400000000000000010000000000000000000000000000000200000001"
+            "0000000700000000000000050000003412000000000000010000000300000002"
+            "000000000000000000000009000000000000000200000000000000ff00000000"
+            "00000000000000020c00000057f382a3000000000100000000000000014e0000"
+            "00f42328c6333300000000000045440000000000000001370000000000000000"
+            "0000000000000000000000000000000000000000000000030000000100000000"
+            "0000000200000000000000ffffffffffffffff020c00000038bf273801000000"
+            "0100000000000000d57ec6dd");
 }
 
 //===----------------------------------------------------------------------===//

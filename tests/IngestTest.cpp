@@ -121,6 +121,17 @@ fs::path onlySpoolFile(const std::string &SpoolDir) {
   return fs::path(SpoolDir) / Names.front();
 }
 
+/// Lower-case hex of \p Bytes, for golden-byte comparisons.
+std::string toHex(const std::vector<uint8_t> &Bytes) {
+  static const char Digits[] = "0123456789abcdef";
+  std::string S;
+  for (uint8_t B : Bytes) {
+    S += Digits[B >> 4];
+    S += Digits[B & 15];
+  }
+  return S;
+}
+
 //===----------------------------------------------------------------------===//
 // Wire format
 //===----------------------------------------------------------------------===//
@@ -205,6 +216,31 @@ TEST(ReportCodec, RejectsDamagedBytes) {
                               Version),
             DecodeStatus::BadVersion);
   EXPECT_EQ(Version, 99u);
+}
+
+// Pins the exact spool bytes (docs/INGEST.md): header, then two records,
+// one with an empty call stack and a non-ASCII (UTF-8) message. Any codec
+// change that moves a byte breaks every spool already on disk.
+TEST(ReportCodec, GoldenBytes) {
+  FleetFailureReport A = makeReport("PHP-2012-2386", FailureKind::OutOfBounds,
+                                    42, {7, 300}, 3, "idx 9");
+  A.MachineId = 0x0102030405060708ULL;
+  A.Sequence = 42;
+  FleetFailureReport B = makeReport("Bash-108885", FailureKind::Abort, 1u << 20,
+                                    {}, 0, "na\xc3\xafve \xe2\x9c\x93");
+  B.MachineId = 9;
+  B.Sequence = ~0ULL;
+
+  std::vector<uint8_t> Wire;
+  encodeSpoolHeader(Wire);
+  encodeReport(A, Wire);
+  encodeReport(B, Wire);
+  EXPECT_EQ(toHex(Wire),
+            "455253504f4f4c0a010000003f0000002e5759c408070605040302012a000000"
+            "000000000d0000005048502d323031322d32333836032a000000030000000200"
+            "0000070000002c0100000500000069647820393a000000f43c2d990900000000"
+            "000000ffffffffffffffff0b000000426173682d313038383835010000100000"
+            "000000000000000a0000006e61c3af766520e29c93");
 }
 
 //===----------------------------------------------------------------------===//

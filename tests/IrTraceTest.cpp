@@ -304,42 +304,3 @@ TEST(SolverProperty2, LoweredArraysEvaluateIdentically) {
   }
 }
 
-TEST(TraceProperty, SerializeDeserializeRoundTrips) {
-  TraceConfig TC;
-  TraceRecorder Rec(TC);
-  Rec.beginThread(0);
-  Rec.beginThread(3);
-  Rng R(21);
-  for (int I = 0; I < 300; ++I) {
-    uint32_t Tid = R.nextBool(0.5) ? 0 : 3;
-    switch (R.nextBounded(4)) {
-    case 0: Rec.condBranch(Tid, R.nextBool()); break;
-    case 1: Rec.returnTarget(Tid, static_cast<uint32_t>(R.nextBounded(1000))); break;
-    case 2: Rec.ptWrite(Tid, R.next()); break;
-    default: Rec.endChunk(Tid, R.nextBounded(100000), 1 + R.nextBounded(50)); break;
-    }
-  }
-  // Note: serialize() flushes pending TNT bits into the blob itself.
-  std::vector<uint8_t> Blob = Rec.serialize();
-  DecodedTrace Shipped = TraceRecorder::deserialize(Blob);
-  Rec.finish();
-  DecodedTrace Local = Rec.decode();
-
-  ASSERT_EQ(Shipped.Threads.size(), Local.Threads.size());
-  for (size_t T = 0; T < Local.Threads.size(); ++T) {
-    const DecodedThread &A = Local.Threads[T];
-    const DecodedThread &B = Shipped.Threads[T];
-    EXPECT_EQ(A.Tid, B.Tid);
-    ASSERT_EQ(A.Events.size(), B.Events.size());
-    for (size_t I = 0; I < A.Events.size(); ++I) {
-      EXPECT_EQ(A.Events[I].K, B.Events[I].K);
-      EXPECT_EQ(A.Events[I].Taken, B.Events[I].Taken);
-      EXPECT_EQ(A.Events[I].Value, B.Events[I].Value);
-    }
-    ASSERT_EQ(A.Chunks.size(), B.Chunks.size());
-    for (size_t I = 0; I < A.Chunks.size(); ++I) {
-      EXPECT_EQ(A.Chunks[I].Timestamp, B.Chunks[I].Timestamp);
-      EXPECT_EQ(A.Chunks[I].NumInstrs, B.Chunks[I].NumInstrs);
-    }
-  }
-}
