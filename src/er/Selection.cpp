@@ -82,7 +82,7 @@ public:
   std::pair<std::vector<ExprRef>, uint64_t>
   bestCover(ExprRef E, const std::unordered_set<ExprRef> &Free) {
     std::unordered_map<ExprRef, std::vector<ExprRef>> Memo;
-    std::vector<ExprRef> Cover = coverImpl(E, Free, Memo);
+    const std::vector<ExprRef> &Cover = coverImpl(E, Free, Memo);
     return {Cover, setCost(Cover)};
   }
 
@@ -134,40 +134,61 @@ private:
     return Result;
   }
 
+  /// Whether every write of the chain ending in \p A is concrete over a
+  /// concrete base. Each write node's answer is memoized (it holds for
+  /// every chain through it), so the many reads of one long chain walk it
+  /// once rather than once per read.
   bool arrayConcrete(ExprRef A, const std::unordered_set<ExprRef> &Recorded,
                      std::unordered_map<ExprRef, bool> &Memo) {
-    while (A->getKind() == ExprKind::Write) {
+    std::vector<ExprRef> Walked;
+    bool Result = true;
+    for (;; A = A->getOp0()) {
+      if (A->getKind() != ExprKind::Write) {
+        Result = A->getKind() != ExprKind::SymArray;
+        break;
+      }
+      auto It = Memo.find(A);
+      if (It != Memo.end()) {
+        Result = It->second;
+        break;
+      }
+      Walked.push_back(A);
       if (!concreteImpl(A->getOp1(), Recorded, Memo) ||
-          !concreteImpl(A->getOp2(), Recorded, Memo))
-        return false;
-      A = A->getOp0();
+          !concreteImpl(A->getOp2(), Recorded, Memo)) {
+        Result = false;
+        break;
+      }
     }
-    return A->getKind() != ExprKind::SymArray;
+    for (ExprRef W : Walked)
+      Memo[W] = Result;
+    return Result;
   }
 
   /// Returns the cover set for \p E, or a set containing an unrecordable
-  /// sentinel (cost Infinite) when none exists.
-  std::vector<ExprRef>
+  /// sentinel (cost Infinite) when none exists. The set lives in \p Memo
+  /// (whose elements never move) or, for constants and free expressions,
+  /// is the shared empty set.
+  const std::vector<ExprRef> &
   coverImpl(ExprRef E, const std::unordered_set<ExprRef> &Free,
             std::unordered_map<ExprRef, std::vector<ExprRef>> &Memo) {
+    static const std::vector<ExprRef> Empty;
     if (E->isConst() || Free.count(E))
-      return {};
-    auto It = Memo.find(E);
-    if (It != Memo.end())
-      return It->second;
-    Memo.emplace(E, std::vector<ExprRef>{E}); // Provisional.
+      return Empty;
+    auto [It, Inserted] = Memo.emplace(E, std::vector<ExprRef>{E});
+    std::vector<ExprRef> &Slot = It->second; // Provisional until the end.
+    if (!Inserted)
+      return Slot;
 
     // Option 1: record E itself.
-    std::vector<ExprRef> Self{E};
     uint64_t SelfCost = Sel.costOf(E);
 
-    // Option 2: cover E's dependencies.
+    // Option 2: cover E's dependencies, deduplicated in first-seen order.
     std::vector<ExprRef> ChildCover;
+    std::unordered_set<ExprRef> InChildCover;
     bool ChildPossible = true;
     auto Merge = [&](const std::vector<ExprRef> &Sub) {
       for (ExprRef S : Sub)
-        if (std::find(ChildCover.begin(), ChildCover.end(), S) ==
-            ChildCover.end())
+        if (InChildCover.insert(S).second)
           ChildCover.push_back(S);
     };
     switch (E->getKind()) {
@@ -193,16 +214,10 @@ private:
       break;
     }
 
-    std::vector<ExprRef> Result;
-    if (!ChildPossible) {
-      Result = std::move(Self);
-    } else {
-      uint64_t ChildCost = setCost(ChildCover);
-      Result = (ChildCost < SelfCost) ? std::move(ChildCover)
-                                      : std::move(Self);
-    }
-    Memo[E] = Result;
-    return Result;
+    // Slot still holds {E}, the record-E-itself option.
+    if (ChildPossible && setCost(ChildCover) < SelfCost)
+      Slot = std::move(ChildCover);
+    return Slot;
   }
 
   const KeyValueSelector &Sel;

@@ -10,7 +10,16 @@ using namespace er;
 
 BitBlaster::BitBlaster(const ExprContext &Ctx, SatSolver &Sat,
                        uint64_t MaxGates)
-    : Ctx(Ctx), Sat(Sat), MaxGates(MaxGates) {
+    : Ctx(Ctx), Sat(Sat) {
+  reset(MaxGates);
+}
+
+void BitBlaster::reset(uint64_t NewMaxGates) {
+  MaxGates = NewMaxGates;
+  GatesUsed = 0;
+  BudgetExceeded = false;
+  Cache.clear();
+  Atoms.clear();
   unsigned TrueVar = Sat.newVar();
   TrueLit = Lit(TrueVar, false);
   Sat.addUnit(TrueLit);

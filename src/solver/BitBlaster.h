@@ -29,6 +29,12 @@ class BitBlaster {
 public:
   BitBlaster(const ExprContext &Ctx, SatSolver &Sat, uint64_t MaxGates);
 
+  /// Drops every encoding and starts over under \p MaxGates, keeping the
+  /// capacity of the blaster's buffers. \p Sat must have been reset first
+  /// (SatSolver::reset): the constant-true variable is re-created in it, so
+  /// the blaster then numbers variables exactly as a new one would.
+  void reset(uint64_t MaxGates);
+
   /// Asserts that boolean (width-1) expression \p E holds. Returns false if
   /// the gate budget was exceeded while encoding.
   bool assertTrue(ExprRef E);

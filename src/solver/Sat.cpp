@@ -3,6 +3,7 @@
 #include "solver/Sat.h"
 
 #include "obs/Metrics.h"
+#include "support/Error.h"
 
 #include <algorithm>
 #include <cassert>
@@ -42,16 +43,33 @@ struct SolveTelemetry {
 };
 } // namespace
 
-SatSolver::SatSolver() {
+SatSolver::SatSolver() : Watches(2) { reset(); }
+
+void SatSolver::reset() {
+  // Only the live watch lists can be non-empty; clearing keeps capacity.
+  for (size_t I = 0, E = 2 * (static_cast<size_t>(NumVars) + 1); I < E; ++I)
+    Watches[I].clear();
+  NumVars = 0;
+  DecisionLevel = 0;
+  Clauses.clear();
+  Arena.clear();
   // Var 0 is unused; literal codes start at 2.
-  Values.push_back(LBool::Undef);
-  Reasons.push_back(-1);
-  Levels.push_back(0);
-  SavedPhase.push_back(false);
-  Activity.push_back(0);
-  HeapPos.push_back(-1);
-  Seen.push_back(0);
-  Watches.resize(2);
+  Values.assign(1, LBool::Undef);
+  Reasons.assign(1, -1);
+  Levels.assign(1, 0);
+  SavedPhase.assign(1, false);
+  Activity.assign(1, 0);
+  HeapPos.assign(1, -1);
+  Seen.assign(1, 0);
+  Trail.clear();
+  TrailLims.clear();
+  Heap.clear();
+  PropHead = 0;
+  VarInc = 1.0;
+  Unsatisfiable = false;
+  Stats = SatStats();
+  CurDeadline = {};
+  TimedOut = false;
 }
 
 unsigned SatSolver::newVar() {
@@ -63,7 +81,10 @@ unsigned SatSolver::newVar() {
   Activity.push_back(0);
   HeapPos.push_back(-1);
   Seen.push_back(0);
-  Watches.resize(Watches.size() + 2);
+  // Past the high-water mark only: lists below it are empty and reusable.
+  size_t LiveLits = 2 * (static_cast<size_t>(NumVars) + 1);
+  if (Watches.size() < LiveLits)
+    Watches.resize(LiveLits);
   heapInsert(NumVars);
   return NumVars;
 }
@@ -90,41 +111,54 @@ bool SatSolver::assign(Lit L, int Reason) {
 }
 
 void SatSolver::attachClause(unsigned Idx) {
-  Clause &C = Clauses[Idx];
-  assert(C.Lits.size() >= 2 && "attaching short clause");
-  Watches[(~C.Lits[0]).code()].push_back({Idx, C.Lits[1]});
-  Watches[(~C.Lits[1]).code()].push_back({Idx, C.Lits[0]});
+  const Clause &C = Clauses[Idx];
+  assert(C.Size >= 2 && "attaching short clause");
+  const Lit *Lits = &Arena[C.Start];
+  Watches[(~Lits[0]).code()].push_back({Idx, Lits[1]});
+  Watches[(~Lits[1]).code()].push_back({Idx, Lits[0]});
 }
 
-void SatSolver::addClause(std::vector<Lit> Clause) {
+void SatSolver::appendClause(const Lit *Lits, size_t N, bool Learned) {
+  if (Arena.size() + N > UINT32_MAX)
+    fatalError("SAT clause arena exceeds 2^32 literals");
+  Clauses.push_back({static_cast<unsigned>(Arena.size()),
+                     static_cast<unsigned>(N), Learned});
+  Arena.insert(Arena.end(), Lits, Lits + N);
+  attachClause(static_cast<unsigned>(Clauses.size() - 1));
+}
+
+void SatSolver::addClause(const Lit *Lits, size_t N) {
   if (Unsatisfiable)
     return;
   // Clauses are filtered against root-level assignments only, so return to
   // the root first (e.g. when blocking a model between solve() calls).
   backtrack(0);
-  // Remove duplicates and satisfied/false literals at root level.
-  std::sort(Clause.begin(), Clause.end(),
+  // Remove duplicates and satisfied/false literals at root level, in place
+  // in the scratch buffer (the write cursor never passes the read cursor).
+  std::vector<Lit> &Buf = ClauseBuf;
+  Buf.assign(Lits, Lits + N);
+  std::sort(Buf.begin(), Buf.end(),
             [](Lit A, Lit B) { return A.code() < B.code(); });
-  std::vector<Lit> Filtered;
-  for (size_t I = 0; I < Clause.size(); ++I) {
-    Lit L = Clause[I];
-    if (I + 1 < Clause.size() && Clause[I + 1] == L)
+  size_t Kept = 0;
+  for (size_t I = 0; I < N; ++I) {
+    Lit L = Buf[I];
+    if (I + 1 < N && Buf[I + 1] == L)
       continue; // Duplicate.
-    if (I + 1 < Clause.size() && Clause[I + 1] == ~L)
+    if (I + 1 < N && Buf[I + 1] == ~L)
       return; // Tautology: p | ~p.
     LBool V = litValue(L);
     if (V == LBool::True)
       return; // Already satisfied at root.
     if (V == LBool::False)
       continue; // Drop falsified literal.
-    Filtered.push_back(L);
+    Buf[Kept++] = L;
   }
-  if (Filtered.empty()) {
+  if (Kept == 0) {
     Unsatisfiable = true;
     return;
   }
-  if (Filtered.size() == 1) {
-    if (!assign(Filtered[0], -1)) {
+  if (Kept == 1) {
+    if (!assign(Buf[0], -1)) {
       Unsatisfiable = true;
       return;
     }
@@ -132,8 +166,7 @@ void SatSolver::addClause(std::vector<Lit> Clause) {
       Unsatisfiable = true;
     return;
   }
-  Clauses.push_back({std::move(Filtered), /*Learned=*/false});
-  attachClause(static_cast<unsigned>(Clauses.size() - 1));
+  appendClause(Buf.data(), Kept, /*Learned=*/false);
 }
 
 int SatSolver::propagate() {
@@ -155,23 +188,24 @@ int SatSolver::propagate() {
         WList[Kept++] = W;
         continue;
       }
-      Clause &C = Clauses[W.ClauseIdx];
+      const Clause &C = Clauses[W.ClauseIdx];
+      Lit *Lits = &Arena[C.Start]; // Propagation never grows the arena.
       Lit NotP = ~P;
       // Ensure the false literal is Lits[1].
-      if (C.Lits[0] == NotP)
-        std::swap(C.Lits[0], C.Lits[1]);
-      assert(C.Lits[1] == NotP && "watch invariant violated");
+      if (Lits[0] == NotP)
+        std::swap(Lits[0], Lits[1]);
+      assert(Lits[1] == NotP && "watch invariant violated");
       // First literal may satisfy the clause.
-      if (litValue(C.Lits[0]) == LBool::True) {
-        WList[Kept++] = {W.ClauseIdx, C.Lits[0]};
+      if (litValue(Lits[0]) == LBool::True) {
+        WList[Kept++] = {W.ClauseIdx, Lits[0]};
         continue;
       }
       // Look for a new literal to watch.
       bool FoundWatch = false;
-      for (size_t K = 2; K < C.Lits.size(); ++K) {
-        if (litValue(C.Lits[K]) != LBool::False) {
-          std::swap(C.Lits[1], C.Lits[K]);
-          Watches[(~C.Lits[1]).code()].push_back({W.ClauseIdx, C.Lits[0]});
+      for (size_t K = 2; K < C.Size; ++K) {
+        if (litValue(Lits[K]) != LBool::False) {
+          std::swap(Lits[1], Lits[K]);
+          Watches[(~Lits[1]).code()].push_back({W.ClauseIdx, Lits[0]});
           FoundWatch = true;
           break;
         }
@@ -180,14 +214,14 @@ int SatSolver::propagate() {
         continue; // Watcher moved; do not keep.
       // Clause is unit or conflicting.
       WList[Kept++] = W;
-      if (litValue(C.Lits[0]) == LBool::False) {
+      if (litValue(Lits[0]) == LBool::False) {
         // Conflict: keep remaining watchers and report.
         for (size_t K = WI + 1; K < WList.size(); ++K)
           WList[Kept++] = WList[K];
         WList.resize(Kept);
         return static_cast<int>(W.ClauseIdx);
       }
-      assign(C.Lits[0], static_cast<int>(W.ClauseIdx));
+      assign(Lits[0], static_cast<int>(W.ClauseIdx));
     }
     WList.resize(Kept);
   }
@@ -217,11 +251,12 @@ void SatSolver::analyze(int ConflictClause, std::vector<Lit> &Learned,
 
   for (;;) {
     assert(Reason != -1 && "analysis reached a decision without UIP");
-    Clause &C = Clauses[static_cast<size_t>(Reason)];
+    const Clause &C = Clauses[static_cast<size_t>(Reason)];
+    const Lit *Lits = &Arena[C.Start];
     // When following a reason clause, Lits[0] is the implied literal P and is
     // skipped; for the initial conflict clause all literals are examined.
-    for (size_t I = PValid ? 1 : 0; I < C.Lits.size(); ++I) {
-      Lit L = C.Lits[I];
+    for (size_t I = PValid ? 1 : 0; I < C.Size; ++I) {
+      Lit L = Lits[I];
       unsigned V = L.var();
       if (Seen[V] || Levels[V] == 0)
         continue;
@@ -357,7 +392,7 @@ SatStatus SatSolver::solve(const SatBudget &Budget,
         CurDeadline = {};
         return SatStatus::Unsat;
       }
-      std::vector<Lit> Learned;
+      std::vector<Lit> &Learned = ClauseBuf;
       unsigned BtLevel = 0;
       analyze(Confl, Learned, BtLevel);
       backtrack(BtLevel);
@@ -367,11 +402,9 @@ SatStatus SatSolver::solve(const SatBudget &Budget,
           return SatStatus::Unsat;
         }
       } else {
-        Clauses.push_back({Learned, /*Learned=*/true});
-        unsigned Idx = static_cast<unsigned>(Clauses.size() - 1);
-        attachClause(Idx);
+        appendClause(Learned.data(), Learned.size(), /*Learned=*/true);
         ++Stats.LearnedClauses;
-        assign(Learned[0], static_cast<int>(Idx));
+        assign(Learned[0], static_cast<int>(Clauses.size() - 1));
       }
       VarInc *= 1.0 / 0.95;
       if (Stats.Conflicts - ConflictsStart > Budget.MaxConflicts ||
@@ -433,7 +466,18 @@ SatCheckpoint SatSolver::checkpoint() const {
   C.NumVars = NumVars;
   C.DecisionLevel = DecisionLevel;
   C.Clauses = Clauses;
-  C.Watches = Watches;
+  C.Arena = Arena;
+  size_t LiveLits = 2 * (static_cast<size_t>(NumVars) + 1);
+  size_t NumWatchers = 0;
+  for (size_t I = 0; I < LiveLits; ++I)
+    NumWatchers += Watches[I].size();
+  C.WatchLists.reserve(NumWatchers);
+  C.WatchEnds.reserve(LiveLits);
+  for (size_t I = 0; I < LiveLits; ++I) {
+    C.WatchLists.insert(C.WatchLists.end(), Watches[I].begin(),
+                        Watches[I].end());
+    C.WatchEnds.push_back(C.WatchLists.size());
+  }
   C.Values = Values;
   C.Reasons = Reasons;
   C.Levels = Levels;
@@ -452,10 +496,24 @@ SatCheckpoint SatSolver::checkpoint() const {
 }
 
 void SatSolver::restore(const SatCheckpoint &C) {
+  // Refill the checkpoint's live watch lists and empty any list past them,
+  // keeping every list's capacity.
+  size_t LiveLits = 2 * (static_cast<size_t>(NumVars) + 1);
+  size_t RestoredLits = C.WatchEnds.size();
+  if (Watches.size() < RestoredLits)
+    Watches.resize(RestoredLits);
+  size_t Begin = 0;
+  for (size_t I = 0; I < RestoredLits; ++I) {
+    Watches[I].assign(C.WatchLists.begin() + static_cast<long>(Begin),
+                      C.WatchLists.begin() + static_cast<long>(C.WatchEnds[I]));
+    Begin = C.WatchEnds[I];
+  }
+  for (size_t I = RestoredLits; I < LiveLits; ++I)
+    Watches[I].clear();
   NumVars = C.NumVars;
   DecisionLevel = C.DecisionLevel;
   Clauses = C.Clauses;
-  Watches = C.Watches;
+  Arena = C.Arena;
   Values = C.Values;
   Reasons = C.Reasons;
   Levels = C.Levels;

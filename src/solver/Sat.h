@@ -68,21 +68,43 @@ struct SatStats {
 struct SatCheckpoint; // Defined after SatSolver.
 
 /// CDCL SAT solver over CNF added via addClause().
+///
+/// Clauses live back to back in one literal arena; a Clause is a slice of
+/// it. Adding a clause copies its literals into the arena and allocates
+/// nothing else once the solver's buffers have grown, and reset() returns
+/// the solver to its freshly constructed state while keeping every buffer,
+/// so one solver can serve a stream of unrelated queries.
 class SatSolver {
 public:
   SatSolver();
+
+  /// Returns the solver to exactly the state of a freshly constructed one
+  /// (no variables or clauses, zeroed statistics, no deadline) but keeps
+  /// the capacity of its buffers. A search after reset() is bit-identical
+  /// to the same search on a new solver.
+  void reset();
 
   /// Allocates a fresh variable; returns its index (>= 1).
   unsigned newVar();
   unsigned numVars() const { return NumVars; }
   uint64_t numClauses() const { return Clauses.size(); }
 
-  /// Adds a clause (disjunction of literals). An empty clause makes the
-  /// instance trivially unsatisfiable.
-  void addClause(std::vector<Lit> Clause);
-  void addUnit(Lit L) { addClause({L}); }
-  void addBinary(Lit A, Lit B) { addClause({A, B}); }
-  void addTernary(Lit A, Lit B, Lit C) { addClause({A, B, C}); }
+  /// Adds a clause (disjunction of the \p N literals at \p Lits). An empty
+  /// clause makes the instance trivially unsatisfiable. The literals are
+  /// copied; the caller's buffer is not retained.
+  void addClause(const Lit *Lits, size_t N);
+  void addClause(const std::vector<Lit> &Clause) {
+    addClause(Clause.data(), Clause.size());
+  }
+  void addUnit(Lit L) { addClause(&L, 1); }
+  void addBinary(Lit A, Lit B) {
+    const Lit C[] = {A, B};
+    addClause(C, 2);
+  }
+  void addTernary(Lit A, Lit B, Lit C) {
+    const Lit T[] = {A, B, C};
+    addClause(T, 3);
+  }
 
   /// Runs CDCL search under \p Budget, with optional extra assumptions.
   SatStatus solve(const SatBudget &Budget,
@@ -93,23 +115,27 @@ public:
 
   const SatStats &getStats() const { return Stats; }
 
-  /// Deep-copies the solver's entire mutable state — clause database,
-  /// watch lists, assignment trail, VSIDS heap/activities, saved phases,
-  /// and the statistics counters. restore() rewinds to that state bit for
-  /// bit, so a search run after a restore proceeds exactly as if the
-  /// intervening solve() calls and clause additions never happened. This
-  /// is the mechanism behind IncrementalSession's byte-identical reuse of
-  /// an already-blasted CNF prefix (docs/SOLVER.md): the statistics are
-  /// part of the snapshot because downstream work accounting and the
-  /// deadline-check cadence read the *absolute* counters.
+  /// Copies the solver's entire mutable state — the clause arena (learned
+  /// clauses included), the watch lists, assignment trail, VSIDS
+  /// heap/activities, saved phases, and the statistics counters. restore()
+  /// rewinds to that state bit for bit, so a search run after a restore
+  /// proceeds exactly as if the intervening solve() calls and clause
+  /// additions never happened. This is the mechanism behind
+  /// IncrementalSession's byte-identical reuse of an already-blasted CNF
+  /// prefix (docs/SOLVER.md): the statistics are part of the snapshot
+  /// because downstream work accounting and the deadline-check cadence
+  /// read the *absolute* counters.
   SatCheckpoint checkpoint() const;
   void restore(const SatCheckpoint &C);
 
   enum class LBool : int8_t { False = 0, True = 1, Undef = 2 };
 
+  /// A clause: Size literals starting at Arena[Start]. Original and learned
+  /// clauses share the arena in the order they were added.
   struct Clause {
-    std::vector<Lit> Lits;
-    bool Learned = false;
+    unsigned Start;
+    unsigned Size;
+    bool Learned;
   };
 
   struct Watcher {
@@ -127,6 +153,7 @@ private:
   Lit pickBranchLit();
   void bumpVar(unsigned Var);
   void attachClause(unsigned Idx);
+  void appendClause(const Lit *Lits, size_t N, bool Learned);
   static uint64_t luby(uint64_t I);
 
   // Order-heap operations (max-heap on Activity).
@@ -140,7 +167,10 @@ private:
   unsigned NumVars = 0;
   unsigned DecisionLevel = 0;
   std::vector<Clause> Clauses;
-  std::vector<std::vector<Watcher>> Watches; // Indexed by literal code.
+  std::vector<Lit> Arena;                    // Literals of every clause.
+  /// Indexed by literal code. Lists past the live variables are empty and
+  /// kept only for their capacity (see reset()).
+  std::vector<std::vector<Watcher>> Watches;
   std::vector<LBool> Values;                 // Indexed by var.
   std::vector<int> Reasons;                  // Clause index or -1 (decision).
   std::vector<unsigned> Levels;              // Decision level per var.
@@ -151,6 +181,7 @@ private:
   std::vector<unsigned> Heap;    // Var indices, max-heap by activity.
   std::vector<int> HeapPos;      // Var -> heap slot or -1.
   std::vector<uint8_t> Seen;     // Scratch for analyze().
+  std::vector<Lit> ClauseBuf;    // Scratch for addClause() and analyze().
   size_t PropHead = 0;
   double VarInc = 1.0;
   bool Unsatisfiable = false;
@@ -163,12 +194,16 @@ private:
 
 /// A full snapshot of a SatSolver (see SatSolver::checkpoint). Opaque to
 /// callers: create with checkpoint(), consume with restore(). The copy is
-/// O(clause database) — cheap next to re-blasting the CNF it preserves.
+/// O(clause database) in a fixed number of flat buffers: the clause arena
+/// and headers as they are, and the watch lists laid end to end with one
+/// end offset per literal — cheap next to re-blasting the CNF it preserves.
 struct SatCheckpoint {
   unsigned NumVars = 0;
   unsigned DecisionLevel = 0;
   std::vector<SatSolver::Clause> Clauses;
-  std::vector<std::vector<SatSolver::Watcher>> Watches;
+  std::vector<Lit> Arena;
+  std::vector<SatSolver::Watcher> WatchLists; // Live watch lists, in order.
+  std::vector<size_t> WatchEnds;              // End of each in WatchLists.
   std::vector<SatSolver::LBool> Values;
   std::vector<int> Reasons;
   std::vector<unsigned> Levels;

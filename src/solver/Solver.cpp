@@ -31,7 +31,7 @@ using namespace er;
 namespace {
 struct QueryMetrics {
   obs::Histogram &WallUs, &Work, &Assertions;
-  obs::Counter &Sat, &Unsat, &Timeout;
+  obs::Counter &Sat, &Unsat, &Timeout, &WallBackstop;
   static QueryMetrics &get() {
     auto &Reg = obs::MetricsRegistry::global();
     static QueryMetrics M{
@@ -41,8 +41,17 @@ struct QueryMetrics {
                       obs::exponentialBounds(1, 16, 2)),
         Reg.counter("solver.queries.sat"),
         Reg.counter("solver.queries.unsat"),
-        Reg.counter("solver.queries.timeout")};
+        Reg.counter("solver.queries.timeout"),
+        Reg.counter("solver.wall_backstop")};
     return M;
+  }
+
+  /// A search ended Unknown on the WallSecondsBudget deadline rather than
+  /// on a deterministic cap: the one way a result can depend on machine
+  /// speed, so it is counted and marked on the search span.
+  void recordWallBackstop(obs::ScopedSpan &SatSpan) {
+    WallBackstop.inc();
+    SatSpan.arg("wall_backstop", static_cast<uint64_t>(1));
   }
 
   void record(QueryStatus Status, uint64_t WorkUsed, size_t NumAssertions,
@@ -69,7 +78,10 @@ const char *er::queryStatusName(QueryStatus S) {
 }
 
 ConstraintSolver::ConstraintSolver(ExprContext &Ctx, SolverConfig Config)
-    : Ctx(Ctx), Config(Config) {}
+    : Ctx(Ctx), Config(Config), Sat(std::make_unique<SatSolver>()),
+      Blaster(std::make_unique<BitBlaster>(Ctx, *Sat, 0)) {}
+
+ConstraintSolver::~ConstraintSolver() = default;
 
 //===----------------------------------------------------------------------===//
 // Array elimination
@@ -318,6 +330,7 @@ ConstraintSolver::checkSatUncached(const std::vector<ExprRef> &Assertions,
     if (!L->isTrue())
       Lowered.push_back(L);
   }
+  LowerSpan->arg("work", Work);
   LowerSpan.reset();
   Totals.MaxLoweredNodes = std::max(Totals.MaxLoweredNodes,
                                     Ctx.getStats().NodesCreated);
@@ -327,12 +340,19 @@ ConstraintSolver::checkSatUncached(const std::vector<ExprRef> &Assertions,
     std::fprintf(stderr, "[solver] lowered %zu asserts, work=%llu\n",
                  Lowered.size(), (unsigned long long)Work);
 
-  // Bit-blast and solve.
-  SatSolver Sat;
-  BitBlaster Blaster(Ctx, Sat, Budget > Work ? Budget - Work : 0);
+  // Bit-blast and solve on the retained pair, reset to its fresh state.
+  SatSolver &Sat = *this->Sat;
+  BitBlaster &Blaster = *this->Blaster;
+  Sat.reset();
+  Blaster.reset(Budget > Work ? Budget - Work : 0);
   bool Ok = true;
-  for (ExprRef L : Lowered)
-    Ok = Blaster.assertTrue(L) && Ok;
+  {
+    obs::ScopedSpan BlastSpan("solver.blast", "solver");
+    for (ExprRef L : Lowered)
+      Ok = Blaster.assertTrue(L) && Ok;
+    BlastSpan.arg("vars", Sat.numVars());
+    BlastSpan.arg("clauses", Sat.numClauses());
+  }
   Work += Blaster.gatesUsed();
   if (Debug)
     std::fprintf(stderr, "[solver] blasted: gates=%llu vars=%u clauses=%llu ok=%d\n",
@@ -356,9 +376,18 @@ ConstraintSolver::checkSatUncached(const std::vector<ExprRef> &Assertions,
   uint64_t ConflictsBefore = Sat.getStats().Conflicts;
   uint64_t PropsBefore = Sat.getStats().Propagations;
   SatStatus S;
+  bool WallBackstop = false;
   {
     obs::ScopedSpan SatSpan("solver.sat_search", "solver");
     S = Sat.solve(SB);
+    // Unknown from the deterministic conflict/propagation caps is a
+    // reproducible outcome; Unknown from the wall-clock deadline is not.
+    WallBackstop =
+        S == SatStatus::Unknown &&
+        Sat.getStats().Conflicts - ConflictsBefore <= SB.MaxConflicts &&
+        Sat.getStats().Propagations - PropsBefore <= SB.MaxPropagations;
+    if (WallBackstop)
+      QueryMetrics::get().recordWallBackstop(SatSpan);
   }
   if (Debug)
     std::fprintf(stderr, "[solver] solved: status=%d conflicts=%llu props=%llu\n",
@@ -388,11 +417,7 @@ ConstraintSolver::checkSatUncached(const std::vector<ExprRef> &Assertions,
   case SatStatus::Unknown:
     ++Totals.Timeouts;
     R.Status = QueryStatus::Timeout;
-    // Unknown from the deterministic conflict/propagation caps is a
-    // reproducible outcome; Unknown from the wall-clock deadline is not.
-    Deterministic =
-        Sat.getStats().Conflicts - ConflictsBefore > SB.MaxConflicts ||
-        Sat.getStats().Propagations - PropsBefore > SB.MaxPropagations;
+    Deterministic = !WallBackstop;
     return R;
   }
   fatalError("unknown SAT status");
@@ -430,12 +455,12 @@ struct IncrMetrics {
 };
 } // namespace
 
-IncrementalSession::IncrementalSession(ConstraintSolver &Solver) : S(Solver) {}
+IncrementalSession::IncrementalSession(ConstraintSolver &Solver)
+    : S(Solver), Sat(std::make_unique<SatSolver>()),
+      Blaster(std::make_unique<BitBlaster>(Solver.Ctx, *Sat, 0)) {}
 IncrementalSession::~IncrementalSession() = default;
 
 void IncrementalSession::reset() {
-  Sat.reset();
-  Blaster.reset();
   Snap.reset();
   PrevAssertions.clear();
   LoweredPrefix.clear();
@@ -554,6 +579,8 @@ IncrementalSession::solveImpl(const std::vector<ExprRef> &Assertions,
   // equals the memo a fresh solve holds after lowering the prefix, so the
   // per-node charges below are exactly the fresh ones.
   std::vector<ExprRef> NewLowered;
+  std::optional<obs::ScopedSpan> LowerSpan;
+  LowerSpan.emplace("solver.lower", "solver");
   for (size_t I = PrefixLen; I < Assertions.size(); ++I) {
     ExprRef A = Assertions[I];
     assert(A->getWidth() == 1 && "assertion must be boolean");
@@ -587,6 +614,8 @@ IncrementalSession::solveImpl(const std::vector<ExprRef> &Assertions,
     if (!L->isTrue())
       NewLowered.push_back(L);
   }
+  LowerSpan->arg("work", Work);
+  LowerSpan.reset();
   S.Totals.MaxLoweredNodes =
       std::max(S.Totals.MaxLoweredNodes, S.Ctx.getStats().NodesCreated);
 
@@ -595,9 +624,9 @@ IncrementalSession::solveImpl(const std::vector<ExprRef> &Assertions,
   // identically iff its gate count never tripped that latch, i.e. the
   // final prefix gate count fits the new allowance (gates are monotone).
   uint64_t MaxGates = Budget > Work ? Budget - Work : 0;
-  PrefixGates = Blaster ? Blaster->gatesUsed() : 0;
+  PrefixGates = Extension ? Blaster->gatesUsed() : 0;
   bool Reused = false;
-  if (Extension && Blaster && PrefixGates <= MaxGates) {
+  if (Extension && PrefixGates <= MaxGates) {
     // Rewind the SAT core to the committed pre-search state and encode
     // only the suffix; gatesUsed() keeps accumulating to the fresh total.
     Sat->restore(*Snap);
@@ -607,16 +636,21 @@ IncrementalSession::solveImpl(const std::vector<ExprRef> &Assertions,
     // Either no retained state, or the new budget is too small for the
     // retained CNF (a fresh solve would have latched mid-prefix). Re-blast
     // from the lowered forms, which are still fresh-equal.
-    Sat = std::make_unique<SatSolver>();
-    Blaster = std::make_unique<BitBlaster>(S.Ctx, *Sat, MaxGates);
+    Sat->reset();
+    Blaster->reset(MaxGates);
   }
 
   bool Ok = true;
-  if (!Reused)
-    for (ExprRef L : LoweredPrefix)
+  {
+    obs::ScopedSpan BlastSpan("solver.blast", "solver");
+    if (!Reused)
+      for (ExprRef L : LoweredPrefix)
+        Ok = Blaster->assertTrue(L) && Ok;
+    for (ExprRef L : NewLowered)
       Ok = Blaster->assertTrue(L) && Ok;
-  for (ExprRef L : NewLowered)
-    Ok = Blaster->assertTrue(L) && Ok;
+    BlastSpan.arg("vars", Sat->numVars());
+    BlastSpan.arg("clauses", Sat->numClauses());
+  }
   uint64_t NewLowerWork = Work;
   Work += Blaster->gatesUsed();
   if (!Ok || Work >= Budget) {
@@ -658,7 +692,18 @@ IncrementalSession::solveImpl(const std::vector<ExprRef> &Assertions,
 
   uint64_t ConflictsBefore = Sat->getStats().Conflicts;
   uint64_t PropsBefore = Sat->getStats().Propagations;
-  SatStatus St = Sat->solve(SB);
+  SatStatus St;
+  bool WallBackstop = false;
+  {
+    obs::ScopedSpan SatSpan("solver.sat_search", "solver");
+    St = Sat->solve(SB);
+    WallBackstop =
+        St == SatStatus::Unknown &&
+        Sat->getStats().Conflicts - ConflictsBefore <= SB.MaxConflicts &&
+        Sat->getStats().Propagations - PropsBefore <= SB.MaxPropagations;
+    if (WallBackstop)
+      QueryMetrics::get().recordWallBackstop(SatSpan);
+  }
   Work += Sat->getStats().Conflicts * S.Config.ConflictCost;
   R.WorkUsed = Work;
   S.Totals.TotalWork += Work;
@@ -681,9 +726,7 @@ IncrementalSession::solveImpl(const std::vector<ExprRef> &Assertions,
   case SatStatus::Unknown:
     ++S.Totals.Timeouts;
     R.Status = QueryStatus::Timeout;
-    Deterministic =
-        Sat->getStats().Conflicts - ConflictsBefore > SB.MaxConflicts ||
-        Sat->getStats().Propagations - PropsBefore > SB.MaxPropagations;
+    Deterministic = !WallBackstop;
     return R;
   }
   fatalError("unknown SAT status");
@@ -778,6 +821,8 @@ QueryStatus ConstraintSolver::enumerateValuesUncached(
 
   std::unordered_map<ExprRef, ExprRef> Memo;
   std::vector<ExprRef> Lowered;
+  std::optional<obs::ScopedSpan> LowerSpan;
+  LowerSpan.emplace("solver.lower", "solver");
   for (ExprRef A : Assertions) {
     if (A->isTrue())
       continue;
@@ -798,6 +843,8 @@ QueryStatus ConstraintSolver::enumerateValuesUncached(
     WorkUsed = Work;
     return QueryStatus::Timeout;
   }
+  LowerSpan->arg("work", Work);
+  LowerSpan.reset();
   if (LE->isConst()) {
     Out.push_back(LE->getConstVal());
     Complete = true;
@@ -807,11 +854,19 @@ QueryStatus ConstraintSolver::enumerateValuesUncached(
     return QueryStatus::Sat;
   }
 
-  SatSolver Sat;
-  BitBlaster Blaster(Ctx, Sat, Budget > Work ? Budget - Work : 0);
-  bool Ok = Blaster.encode(LE);
-  for (ExprRef L : Lowered)
-    Ok = Blaster.assertTrue(L) && Ok;
+  SatSolver &Sat = *this->Sat;
+  BitBlaster &Blaster = *this->Blaster;
+  Sat.reset();
+  Blaster.reset(Budget > Work ? Budget - Work : 0);
+  bool Ok;
+  {
+    obs::ScopedSpan BlastSpan("solver.blast", "solver");
+    Ok = Blaster.encode(LE);
+    for (ExprRef L : Lowered)
+      Ok = Blaster.assertTrue(L) && Ok;
+    BlastSpan.arg("vars", Sat.numVars());
+    BlastSpan.arg("clauses", Sat.numClauses());
+  }
   Work += Blaster.gatesUsed();
   if (!Ok || Work >= Budget) {
     ++Totals.Timeouts;
@@ -824,6 +879,7 @@ QueryStatus ConstraintSolver::enumerateValuesUncached(
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(
           static_cast<long>(Config.WallSecondsBudget * 1000));
+  obs::ScopedSpan SatSpan("solver.sat_search", "solver");
   for (unsigned Iter = 0; Iter < MaxCount; ++Iter) {
     SatBudget SB;
     SB.MaxConflicts = (Budget - Work) / Config.ConflictCost;
@@ -844,6 +900,8 @@ QueryStatus ConstraintSolver::enumerateValuesUncached(
           Work >= Budget ||
           Sat.getStats().Conflicts - ConflictsBefore > SB.MaxConflicts ||
           Sat.getStats().Propagations - PropsBefore > SB.MaxPropagations;
+      if (!Deterministic)
+        QueryMetrics::get().recordWallBackstop(SatSpan);
       return QueryStatus::Timeout;
     }
     if (S == SatStatus::Unsat) {

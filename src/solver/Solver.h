@@ -79,6 +79,7 @@ struct SolverTotals {
 class ConstraintSolver {
 public:
   ConstraintSolver(ExprContext &Ctx, SolverConfig Config = SolverConfig());
+  ~ConstraintSolver();
 
   /// Decides satisfiability of the conjunction of \p Assertions. On Sat,
   /// the result carries a model assigning every free variable the encoding
@@ -140,6 +141,11 @@ private:
   ExprContext &Ctx;
   SolverConfig Config;
   SolverTotals Totals;
+  /// One SAT core and blaster serve every uncached query: each query resets
+  /// them to their freshly constructed state, so results are those of a
+  /// new pair, without re-growing their buffers per query.
+  std::unique_ptr<SatSolver> Sat;
+  std::unique_ptr<BitBlaster> Blaster;
 };
 
 /// Counters for one incremental session (surfaced per campaign and
@@ -203,7 +209,8 @@ private:
   /// committed list, LoweredPrefix its lowered non-trivial forms in order,
   /// Memo the lowering memo a fresh solve of PrevAssertions would hold,
   /// LowerWork that solve's pure lowering charge, and Snap the SAT core
-  /// exactly as it stood before PrevAssertions' search began.
+  /// exactly as it stood before PrevAssertions' search began. Sat and
+  /// Blaster live as long as the session; a rebuild resets them.
   std::unique_ptr<SatSolver> Sat;
   std::unique_ptr<BitBlaster> Blaster;
   std::unique_ptr<SatCheckpoint> Snap;

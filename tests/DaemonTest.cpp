@@ -41,6 +41,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -1041,7 +1042,14 @@ TEST(Telemetry, ListenerServesConcurrentScrapesWhileCyclesRun) {
         Failures.fetch_add(1, std::memory_order_relaxed);
     }
   });
-  for (int Cycle = 0; Cycle < 5; ++Cycle)
+  // At least five cycles, and more until the scraper's first request has
+  // completed: five idle cycles can finish before the scraper thread is
+  // even scheduled on a loaded machine, and then nothing overlapped.
+  auto GiveUp = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (int Cycle = 0;
+       Cycle < 5 || (Scrapes.load() + Failures.load() == 0 &&
+                     std::chrono::steady_clock::now() < GiveUp);
+       ++Cycle)
     ASSERT_TRUE(Daemon.runCycle());
   Done.store(true, std::memory_order_release);
   Scraper.join();

@@ -201,6 +201,32 @@ TEST(Selection, DecomposesWhenCheaper) {
   EXPECT_EQ(Plan.totalCost(), 1u);
 }
 
+TEST(Selection, SharedDescendantsCountedOnceInACover) {
+  // e = a*b + a*c over 8-bit inputs widened to 32 bits. Recording e costs
+  // 4 bytes; its cover {a, b, c} costs 3 only if the a shared by both
+  // products is counted once (counting it twice gives 4, not cheaper).
+  ExprContext Ctx;
+  ExprRef A = Ctx.makeVar("a", 8);
+  ExprRef B = Ctx.makeVar("b", 8);
+  ExprRef C = Ctx.makeVar("c", 8);
+  ExprRef WA = Ctx.zext(A, 32), WB = Ctx.zext(B, 32), WC = Ctx.zext(C, 32);
+  ExprRef E = Ctx.add(Ctx.mul(WA, WB), Ctx.mul(WA, WC));
+
+  SymexSnapshot Snap;
+  Snap.ExecCounts.assign(5, 1);
+  Snap.Origins = {{E, 1}, {A, 2}, {B, 3}, {C, 4}};
+  Snap.CulpritExpr = E;
+
+  ConstraintGraph G(Snap);
+  KeyValueSelector Sel(G);
+  RecordingPlan Plan = Sel.computeRecordingSet();
+  ASSERT_EQ(Plan.Values.size(), 3u);
+  EXPECT_EQ(Plan.Values[0].E, A);
+  EXPECT_EQ(Plan.Values[1].E, B);
+  EXPECT_EQ(Plan.Values[2].E, C);
+  EXPECT_EQ(Plan.totalCost(), 3u);
+}
+
 TEST(Selection, HighCountDefSitesAvoided) {
   // z is defined in a loop (1000 executions); its single-shot inputs are
   // cheaper even though wider.

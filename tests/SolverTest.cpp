@@ -8,6 +8,8 @@
 
 #include "er/Driver.h"
 #include "gen/BugPlanter.h"
+#include "obs/Metrics.h"
+#include "solver/BitBlaster.h"
 #include "solver/Expr.h"
 #include "solver/Sat.h"
 #include "solver/Solver.h"
@@ -16,6 +18,10 @@
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <chrono>
+#include <functional>
 
 using namespace er;
 
@@ -258,6 +264,190 @@ TEST(Sat, RandomInstancesAgreeWithBruteForce) {
   }
 }
 
+namespace {
+
+/// Pigeonhole principle, \p P pigeons into \p H holes: unsatisfiable when
+/// P > H, and it needs real conflict analysis (and learned clauses) to see.
+void addPigeonhole(SatSolver &S, int P, int H) {
+  std::vector<std::vector<unsigned>> V(P, std::vector<unsigned>(H));
+  for (int I = 0; I < P; ++I)
+    for (int J = 0; J < H; ++J)
+      V[I][J] = S.newVar();
+  for (int I = 0; I < P; ++I) {
+    std::vector<Lit> C;
+    for (int J = 0; J < H; ++J)
+      C.push_back(Lit(V[I][J], false));
+    S.addClause(C);
+  }
+  for (int J = 0; J < H; ++J)
+    for (int I1 = 0; I1 < P; ++I1)
+      for (int I2 = I1 + 1; I2 < P; ++I2)
+        S.addBinary(Lit(V[I1][J], true), Lit(V[I2][J], true));
+}
+
+/// Random 3-CNF over \p N fresh variables with \p M clauses.
+void addRandom3Cnf(SatSolver &S, Rng &R, unsigned N, unsigned M) {
+  unsigned First = S.numVars() + 1;
+  for (unsigned I = 0; I < N; ++I)
+    S.newVar();
+  for (unsigned C = 0; C < M; ++C)
+    S.addTernary(Lit(First + R.nextBounded(N), R.nextBool()),
+                 Lit(First + R.nextBounded(N), R.nextBool()),
+                 Lit(First + R.nextBounded(N), R.nextBool()));
+}
+
+/// Two solvers agree on everything observable: sizes, every statistic, and
+/// (after a Sat answer) every variable's value.
+void expectSameSolver(const SatSolver &A, const SatSolver &B, SatStatus St,
+                      const std::string &What) {
+  EXPECT_EQ(A.numVars(), B.numVars()) << What;
+  EXPECT_EQ(A.numClauses(), B.numClauses()) << What;
+  EXPECT_EQ(A.getStats().Conflicts, B.getStats().Conflicts) << What;
+  EXPECT_EQ(A.getStats().Decisions, B.getStats().Decisions) << What;
+  EXPECT_EQ(A.getStats().Propagations, B.getStats().Propagations) << What;
+  EXPECT_EQ(A.getStats().Restarts, B.getStats().Restarts) << What;
+  EXPECT_EQ(A.getStats().LearnedClauses, B.getStats().LearnedClauses)
+      << What;
+  if (St != SatStatus::Sat)
+    return;
+  for (unsigned V = 1; V <= A.numVars(); ++V) {
+    ASSERT_EQ(A.modelValue(V), B.modelValue(V)) << What << " var " << V;
+  }
+}
+
+} // namespace
+
+TEST(Sat, CheckpointRestoreSpansLearnedClauses) {
+  // A checkpoint taken after a capped search holds learned clauses and
+  // moved watches; restoring it after an unrelated detour (more search,
+  // new variables, a root-level contradiction) must continue exactly like
+  // a twin solver that never took the detour.
+  SatSolver A, B;
+  addPigeonhole(A, 6, 5);
+  addPigeonhole(B, 6, 5);
+  SatBudget Cap;
+  Cap.MaxConflicts = 40;
+  ASSERT_EQ(A.solve(Cap), SatStatus::Unknown);
+  ASSERT_EQ(B.solve(Cap), SatStatus::Unknown);
+  ASSERT_GT(A.getStats().LearnedClauses, 0u);
+  SatCheckpoint C = A.checkpoint();
+
+  EXPECT_EQ(A.solve(Cap), SatStatus::Unknown);
+  unsigned X = A.newVar();
+  A.addBinary(Lit(X, false), Lit(1, false));
+  A.addUnit(Lit(X, true));
+  A.addUnit(Lit(1, true));
+  EXPECT_EQ(A.solve(SatBudget{}), SatStatus::Unsat);
+
+  A.restore(C);
+  expectSameSolver(A, B, SatStatus::Unknown, "after restore");
+  for (int K = 0; K < 3; ++K) {
+    SatStatus St = A.solve(Cap);
+    EXPECT_EQ(St, B.solve(Cap)) << "capped round " << K;
+    expectSameSolver(A, B, St, "capped round " + std::to_string(K));
+  }
+  EXPECT_EQ(A.solve(SatBudget{}), SatStatus::Unsat);
+  EXPECT_EQ(B.solve(SatBudget{}), SatStatus::Unsat);
+  expectSameSolver(A, B, SatStatus::Unsat, "to completion");
+
+  // The same round trip on a satisfiable instance, where the restored
+  // solver must also reach the identical model.
+  Rng RA(99), RB(99);
+  SatSolver S, T;
+  addRandom3Cnf(S, RA, 120, 480);
+  addRandom3Cnf(T, RB, 120, 480);
+  SatBudget Few;
+  Few.MaxConflicts = 5;
+  SatStatus First = S.solve(Few);
+  EXPECT_EQ(First, T.solve(Few));
+  SatCheckpoint CS = S.checkpoint();
+  S.addUnit(Lit(7, false));
+  S.addUnit(Lit(7, true));
+  EXPECT_EQ(S.solve(SatBudget{}), SatStatus::Unsat);
+  S.restore(CS);
+  SatStatus St = S.solve(SatBudget{});
+  EXPECT_EQ(St, T.solve(SatBudget{}));
+  expectSameSolver(S, T, St, "random 3-CNF");
+}
+
+TEST(Sat, ResetEqualsFreshSolver) {
+  // One solver reused through reset() across unrelated instances of
+  // different sizes (so its buffers are past their high-water mark, then
+  // below it) must answer each exactly like a new solver: same verdict,
+  // same statistics, same model. The instances end Sat, Unsat, Unknown on
+  // a conflict cap, and Unsat at the root while clauses are added.
+  struct Instance {
+    const char *Name;
+    std::function<void(SatSolver &)> Build;
+    uint64_t MaxConflicts;
+  };
+  const std::vector<Instance> Instances = {
+      {"random 3-CNF, 300 vars",
+       [](SatSolver &S) {
+         Rng R(5);
+         addRandom3Cnf(S, R, 300, 1000);
+       },
+       UINT64_MAX},
+      {"pigeonhole 6/5, capped", [](SatSolver &S) { addPigeonhole(S, 6, 5); },
+       50},
+      {"random 3-CNF, 20 vars",
+       [](SatSolver &S) {
+         Rng R(6);
+         addRandom3Cnf(S, R, 20, 60);
+       },
+       UINT64_MAX},
+      {"root contradiction",
+       [](SatSolver &S) {
+         unsigned A = S.newVar(), B = S.newVar();
+         S.addBinary(Lit(A, false), Lit(B, false));
+         S.addUnit(Lit(A, true));
+         S.addUnit(Lit(B, true));
+       },
+       UINT64_MAX},
+      {"pigeonhole 5/4", [](SatSolver &S) { addPigeonhole(S, 5, 4); },
+       UINT64_MAX},
+      {"random 3-CNF, 400 vars",
+       [](SatSolver &S) {
+         Rng R(7);
+         addRandom3Cnf(S, R, 400, 1300);
+       },
+       UINT64_MAX},
+  };
+  SatSolver Reused;
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    for (const Instance &I : Instances) {
+      SatSolver Fresh;
+      Reused.reset();
+      I.Build(Fresh);
+      I.Build(Reused);
+      SatBudget B;
+      B.MaxConflicts = I.MaxConflicts;
+      // A deadline far in the future is set and cleared like a real one.
+      B.Deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
+      SatStatus St = Fresh.solve(B);
+      EXPECT_EQ(Reused.solve(B), St) << I.Name;
+      expectSameSolver(Fresh, Reused, St, I.Name);
+      // Blocking the model and solving again exercises learned clauses
+      // and root-level clause addition on the reused buffers.
+      if (St == SatStatus::Sat) {
+        std::vector<Lit> Block;
+        for (unsigned V = 1; V <= Fresh.numVars(); ++V)
+          Block.push_back(Lit(V, Fresh.modelValue(V)));
+        Fresh.addClause(Block);
+        Reused.addClause(Block);
+        St = Fresh.solve(SatBudget{});
+        EXPECT_EQ(Reused.solve(SatBudget{}), St) << I.Name;
+        expectSameSolver(Fresh, Reused, St,
+                         std::string(I.Name) + " after blocking");
+      }
+    }
+    // A restore into a solver that has since grown must also leave no
+    // trace of the larger instance behind the next reset.
+    SatCheckpoint Empty = SatSolver().checkpoint();
+    Reused.restore(Empty);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // End-to-end solving
 //===----------------------------------------------------------------------===//
@@ -340,6 +530,53 @@ TEST(Solver, TimeoutOnTinyBudget) {
   ExprRef A = Ctx.eq(Ctx.mul(X, Y), Ctx.constant(0x12345678, 32));
   QueryResult R = Solver.checkSat({A}, /*BudgetOverride=*/100);
   EXPECT_EQ(R.Status, QueryStatus::Timeout);
+}
+
+TEST(Solver, WallBackstopIsCountedAndNeverCached) {
+  // Factoring a product of two 16-bit primes under a work budget far out of
+  // reach and a wall budget that has expired before the search starts:
+  // on every query path the search must end Unknown on the deadline, count
+  // solver.wall_backstop, and leave nothing in the shared cache.
+  ExprContext Ctx;
+  SolverResultCache Cache;
+  SolverConfig Config;
+  Config.WorkBudget = uint64_t(1) << 50;
+  Config.WallSecondsBudget = 1e-9;
+  Config.SharedCache = &Cache;
+  ConstraintSolver Solver(Ctx, Config);
+  IncrementalSession Session(Solver);
+  ExprRef X = Ctx.makeVar("x", 32);
+  ExprRef Y = Ctx.makeVar("y", 32);
+  ExprRef Limit = Ctx.constant(65536, 32);
+  std::vector<ExprRef> Hard = {
+      Ctx.eq(Ctx.mul(X, Y), Ctx.constant(65521ull * 65519ull, 32)),
+      Ctx.ult(Ctx.constant(1, 32), X), Ctx.ult(Ctx.constant(1, 32), Y),
+      Ctx.ult(X, Limit), Ctx.ult(Y, Limit)};
+  obs::Counter &Backstops =
+      obs::MetricsRegistry::global().counter("solver.wall_backstop");
+  uint64_t Before = Backstops.value();
+
+  EXPECT_EQ(Solver.checkSat(Hard).Status, QueryStatus::Timeout);
+  EXPECT_EQ(Backstops.value(), Before + 1);
+  EXPECT_EQ(Session.checkSat(Hard).Status, QueryStatus::Timeout);
+  EXPECT_EQ(Backstops.value(), Before + 2);
+  std::vector<uint64_t> Values;
+  bool Complete = true;
+  EXPECT_EQ(Solver.enumerateValues(Hard, X, 4, Values, Complete),
+            QueryStatus::Timeout);
+  EXPECT_FALSE(Complete);
+  EXPECT_EQ(Backstops.value(), Before + 3);
+  EXPECT_EQ(Cache.getStats().Insertions, 0u);
+
+  // Asked again, each query is searched again rather than served from the
+  // cache, and the backstop fires again.
+  EXPECT_EQ(Solver.checkSat(Hard).Status, QueryStatus::Timeout);
+  EXPECT_EQ(Session.checkSat(Hard).Status, QueryStatus::Timeout);
+  EXPECT_EQ(Solver.enumerateValues(Hard, X, 4, Values, Complete),
+            QueryStatus::Timeout);
+  EXPECT_EQ(Backstops.value(), Before + 6);
+  EXPECT_EQ(Cache.getStats().Hits, 0u);
+  EXPECT_EQ(Cache.getStats().Insertions, 0u);
 }
 
 TEST(Solver, EnumerateValuesFindsAll) {
@@ -926,4 +1163,212 @@ TEST(SolverIncremental, GeneratedCorpusCampaignsIdenticalWithAndWithout) {
     ++Tested;
   }
   EXPECT_EQ(Tested, 3u);
+}
+
+//===----------------------------------------------------------------------===//
+// Identity pins: the CNF, the variable numbering and the search, bit for bit
+//===----------------------------------------------------------------------===//
+//
+// Each stream below folds every observable of every query into one FNV-1a
+// digest: status, WorkUsed, model, enumerated values and completeness for
+// the ConstraintSolver entry points; variable and clause counts, every
+// SatStats field and the full SAT model for the blaster-level pipeline.
+// The expected digests were captured from the solver as it stood before
+// its clause store became a flat arena and its buffers were reused across
+// queries. Any change to clause order, watch order, variable numbering,
+// restart points or budget accounting changes a digest.
+
+namespace {
+
+struct Digest {
+  uint64_t H = 1469598103934665603ull;
+  void add(uint64_t V) {
+    for (int I = 0; I < 8; ++I) {
+      H ^= (V >> (8 * I)) & 0xff;
+      H *= 1099511628211ull;
+    }
+  }
+  void addModel(const Assignment &A) {
+    std::vector<std::pair<uint32_t, uint64_t>> Vars(A.VarValues.begin(),
+                                                    A.VarValues.end());
+    std::sort(Vars.begin(), Vars.end());
+    add(Vars.size());
+    for (const auto &[Id, V] : Vars) {
+      add(Id);
+      add(V);
+    }
+    std::vector<std::pair<uint32_t, std::vector<std::pair<uint64_t, uint64_t>>>>
+        Arrays;
+    for (const auto &[Id, Elems] : A.ArrayValues) {
+      Arrays.push_back({Id, {Elems.begin(), Elems.end()}});
+      std::sort(Arrays.back().second.begin(), Arrays.back().second.end());
+    }
+    std::sort(Arrays.begin(), Arrays.end());
+    add(Arrays.size());
+    for (const auto &[Id, Elems] : Arrays) {
+      add(Id);
+      for (const auto &[Index, V] : Elems) {
+        add(Index);
+        add(V);
+      }
+    }
+  }
+  void addStats(const SatStats &S) {
+    add(S.Conflicts);
+    add(S.Decisions);
+    add(S.Propagations);
+    add(S.Restarts);
+    add(S.LearnedClauses);
+  }
+};
+
+/// A seeded bit-vector query stream in the shape of the SolverIncremental
+/// generators: a growing conjunction of random equalities that one witness
+/// satisfies, plus per round a contradiction and a fresh random term to
+/// enumerate.
+struct QueryStream {
+  std::vector<std::vector<ExprRef>> SatLists;
+  std::vector<std::vector<ExprRef>> UnsatLists;
+  std::vector<ExprRef> Terms;
+};
+
+QueryStream makeQueryStream(ExprContext &Ctx, unsigned Width, uint64_t Seed,
+                            int Rounds) {
+  QueryStream S;
+  Rng R(Seed);
+  std::vector<ExprRef> Vars = {Ctx.makeVar("p", Width),
+                               Ctx.makeVar("q", Width)};
+  Assignment Witness;
+  Witness.VarValues[Vars[0]->getVarId()] = maskToWidth(R.next(), Width);
+  Witness.VarValues[Vars[1]->getVarId()] = maskToWidth(R.next(), Width);
+  std::vector<ExprRef> List;
+  for (int Round = 0; Round < Rounds; ++Round) {
+    ExprRef E = randomExpr(Ctx, R, Vars, Width, 3);
+    List.push_back(Ctx.eq(E, Ctx.constant(Ctx.evaluate(E, Witness), Width)));
+    S.SatLists.push_back(List);
+    ExprRef F = randomExpr(Ctx, R, Vars, Width, 3);
+    ExprRef C = Ctx.constant(R.next(), Width);
+    S.UnsatLists.push_back({List[0], Ctx.eq(F, C), Ctx.ne(F, C)});
+    S.Terms.push_back(randomExpr(Ctx, R, Vars, Width, 2));
+  }
+  return S;
+}
+
+/// Folds the ConstraintSolver-level results of one stream: every sat list
+/// at the default budget and at three budgets small enough to time out in
+/// lowering, blasting or search, every contradiction, and an enumeration
+/// of each round's term at MaxCount 1, 2 and 4.
+uint64_t solverStreamDigest(unsigned Width, uint64_t Seed) {
+  ExprContext Ctx;
+  ConstraintSolver Solver(Ctx, noWallDeadline());
+  QueryStream S = makeQueryStream(Ctx, Width, Seed, 6);
+  Digest D;
+  for (size_t I = 0; I < S.SatLists.size(); ++I) {
+    for (uint64_t Budget : {0ull, 300ull, 3000ull, 30000ull}) {
+      QueryResult R = Solver.checkSat(S.SatLists[I], Budget);
+      D.add(static_cast<uint64_t>(R.Status));
+      D.add(R.WorkUsed);
+      D.addModel(R.Model);
+    }
+    QueryResult U = Solver.checkSat(S.UnsatLists[I]);
+    D.add(static_cast<uint64_t>(U.Status));
+    D.add(U.WorkUsed);
+    for (unsigned MaxCount : {1u, 2u, 4u}) {
+      std::vector<uint64_t> Values;
+      bool Complete = false;
+      QueryStatus St = Solver.enumerateValues(S.SatLists[I], S.Terms[I],
+                                              MaxCount, Values, Complete);
+      D.add(static_cast<uint64_t>(St));
+      D.add(Complete);
+      D.add(Values.size());
+      for (uint64_t V : Values)
+        D.add(V);
+    }
+  }
+  const SolverTotals &T = Solver.getTotals();
+  D.add(T.Queries);
+  D.add(T.SatQueries);
+  D.add(T.UnsatQueries);
+  D.add(T.Timeouts);
+  D.add(T.TotalWork);
+  D.add(T.ArrayExpansions);
+  return D.H;
+}
+
+/// Folds the blaster-level pipeline of one stream: each sat list and each
+/// contradiction is lowered, blasted into a SatSolver and searched (first
+/// under a small conflict cap, then to completion on the same solver),
+/// and each term is enumerated by blocking clauses. Variable and clause
+/// counts, every SatStats field and every SAT variable's value are
+/// folded after each search.
+uint64_t satStreamDigest(unsigned Width, uint64_t Seed) {
+  ExprContext Ctx;
+  ConstraintSolver Lowerer(Ctx, noWallDeadline());
+  QueryStream S = makeQueryStream(Ctx, Width, Seed, 6);
+  Digest D;
+  auto Fold = [&](const SatSolver &Sat, SatStatus St) {
+    D.add(static_cast<uint64_t>(St));
+    D.add(Sat.numVars());
+    D.add(Sat.numClauses());
+    D.addStats(Sat.getStats());
+    if (St == SatStatus::Sat)
+      for (unsigned V = 1; V <= Sat.numVars(); ++V)
+        D.add(Sat.modelValue(V));
+  };
+  auto Run = [&](const std::vector<ExprRef> &List, ExprRef Term) {
+    SatSolver Sat;
+    BitBlaster Blaster(Ctx, Sat, UINT64_MAX);
+    uint64_t Work = 0;
+    ExprRef LTerm = Term ? Lowerer.lowerArrays(Term, UINT64_MAX, Work)
+                         : nullptr;
+    if (LTerm && !LTerm->isConst())
+      Blaster.encode(LTerm);
+    for (ExprRef A : List)
+      Blaster.assertTrue(Lowerer.lowerArrays(A, UINT64_MAX, Work));
+    SatBudget Small;
+    Small.MaxConflicts = 3;
+    Fold(Sat, Sat.solve(Small));
+    for (int K = 0; K < 4; ++K) {
+      SatStatus St = Sat.solve(SatBudget{});
+      Fold(Sat, St);
+      if (St != SatStatus::Sat || !LTerm || LTerm->isConst())
+        break;
+      D.add(Blaster.valueOf(LTerm));
+      Blaster.blockValue(LTerm, Blaster.valueOf(LTerm));
+    }
+  };
+  for (size_t I = 0; I < S.SatLists.size(); ++I) {
+    Run(S.SatLists[I], S.Terms[I]);
+    Run(S.UnsatLists[I], nullptr);
+  }
+  return D.H;
+}
+
+struct PinCase {
+  unsigned Width;
+  uint64_t Seed;
+  uint64_t SolverDigest;
+  uint64_t SatDigest;
+};
+
+const PinCase PinCases[] = {
+    {8, 3, 0x729cbe8e29c7c3caull, 0xcb04771e85278ed0ull},
+    {16, 17, 0x0bfa620b152a3315ull, 0x008d9ec94c5c1c80ull},
+    {32, 3, 0x2d4a8cedc6004666ull, 0x11944a244dfe23d8ull},
+    {32, 17, 0xfb0ff94671bcd13bull, 0x54428136351447ffull},
+    {64, 5, 0xcf0deae26645724bull, 0x15594f21dd878b80ull},
+};
+
+} // namespace
+
+TEST(SolverIdentity, QueryStreamsMatchPinnedResults) {
+  for (const PinCase &P : PinCases)
+    EXPECT_EQ(solverStreamDigest(P.Width, P.Seed), P.SolverDigest)
+        << "w" << P.Width << " s" << P.Seed;
+}
+
+TEST(SolverIdentity, SatSearchMatchesPinnedStats) {
+  for (const PinCase &P : PinCases)
+    EXPECT_EQ(satStreamDigest(P.Width, P.Seed), P.SatDigest)
+        << "w" << P.Width << " s" << P.Seed;
 }
